@@ -1,7 +1,9 @@
 #include "attack/metrics.h"
 
 #include <algorithm>
+#include <cassert>
 #include <numeric>
+#include <vector>
 
 namespace tsc::attack {
 
@@ -42,15 +44,13 @@ ByteRanking rank_scores(const std::array<double, 256>& score,
 namespace {
 
 /// The shared predicted-set contrast: for every position and guess, the
-/// weighted mean excess of `cell_mean(pos, v, s)` over `set_mean(pos, s)`
-/// at the predicted set s of value v ^ g, with trial-count weights.
-/// `cell_mean` / `set_mean` / `weight` are (pos, value, set) accessors over
-/// the attack's profile.
-template <typename CellMean, typename SetMean, typename Weight>
-MatrixRanking score_contrast(const cache::Geometry& l1, Addr tables_base,
-                             const crypto::Key& victim_key,
-                             const CellMean& cell_mean,
-                             const SetMean& set_mean, const Weight& weight) {
+/// weighted mean excess of `profile.cell_mean(pos, v, s)` over
+/// `profile.set_mean(pos, s)` at the predicted set s of value v ^ g, with
+/// trial-count weights from the (pos, value, set) accessor `weight`.
+template <typename Profile, typename Weight>
+MatrixRanking score_contrast(const Profile& profile, const cache::Geometry& l1,
+                             Addr tables_base, const crypto::Key& victim_key,
+                             const Weight& weight) {
   MatrixRanking out;
   out.victim_key = victim_key;
 
@@ -59,6 +59,8 @@ MatrixRanking score_contrast(const cache::Geometry& l1, Addr tables_base,
       crypto::SimAesLayout::kTableBytes / l1.line_bytes();
   const Addr tables_line = tables_base >> l1.offset_bits();
   const std::uint32_t sets_mask = l1.sets() - 1;
+  assert(profile.sets() == l1.sets());
+  std::vector<double> set_mean(profile.sets());
 
   for (int pos = 0; pos < 16; ++pos) {
     const std::uint32_t table = static_cast<std::uint32_t>(pos) % 4;
@@ -72,6 +74,11 @@ MatrixRanking score_contrast(const cache::Geometry& l1, Addr tables_base,
           (table_line + static_cast<std::uint32_t>(x) / entries_per_line) &
           sets_mask);
     }
+    // Each set's marginal depends on (pos, set) only: sum it once here,
+    // not once per (guess, value).
+    for (std::uint32_t s = 0; s < profile.sets(); ++s) {
+      set_mean[s] = profile.set_mean(pos, s);
+    }
 
     std::array<double, 256> score{};
     for (int g = 0; g < 256; ++g) {
@@ -82,7 +89,7 @@ MatrixRanking score_contrast(const cache::Geometry& l1, Addr tables_base,
         const std::uint64_t n = weight(pos, v, s);
         if (n == 0) continue;
         excess += static_cast<double>(n) *
-                  (cell_mean(pos, v, s) - set_mean(pos, s));
+                  (profile.cell_mean(pos, v, s) - set_mean[s]);
         total += n;
       }
       score[static_cast<std::size_t>(g)] =
@@ -101,15 +108,10 @@ MatrixRanking score_prime_probe(const PrimeProbeProfile& profile,
                                 const crypto::Key& victim_key) {
   // Every trial observes every set, so the weight of a (pos, value) cell is
   // its trial count regardless of the set consulted.
-  return score_contrast(
-      l1, tables_base, victim_key,
-      [&](int pos, int v, std::uint32_t s) {
-        return profile.cell_mean(pos, v, s);
-      },
-      [&](int pos, std::uint32_t s) { return profile.set_mean(pos, s); },
-      [&](int pos, int v, std::uint32_t) {
-        return profile.cell_count(pos, v);
-      });
+  return score_contrast(profile, l1, tables_base, victim_key,
+                        [&](int pos, int v, std::uint32_t) {
+                          return profile.cell_count(pos, v);
+                        });
 }
 
 MatrixRanking score_flush(const FlushProfile& profile,
@@ -121,10 +123,15 @@ MatrixRanking score_flush(const FlushProfile& profile,
   const std::uint32_t entries_per_line = l1.line_bytes() / 4;
   const std::uint32_t lines_per_table =
       crypto::SimAesLayout::kTableBytes / l1.line_bytes();
+  assert(profile.lines() == 4 * lines_per_table);
+  std::vector<double> line_mean(profile.lines());
 
   for (int pos = 0; pos < 16; ++pos) {
     const std::uint32_t table_base =
         (static_cast<std::uint32_t>(pos) % 4) * lines_per_table;
+    for (std::uint32_t m = 0; m < profile.lines(); ++m) {
+      line_mean[m] = profile.line_mean(pos, m);
+    }
 
     std::array<double, 256> score{};
     for (int g = 0; g < 256; ++g) {
@@ -138,7 +145,7 @@ MatrixRanking score_flush(const FlushProfile& profile,
         const std::uint64_t n = profile.cell_count(pos, v);
         if (n == 0) continue;
         excess += static_cast<double>(n) *
-                  (profile.cell_mean(pos, v, m) - profile.line_mean(pos, m));
+                  (profile.cell_mean(pos, v, m) - line_mean[m]);
         total += n;
       }
       score[static_cast<std::size_t>(g)] =
@@ -155,15 +162,10 @@ MatrixRanking score_evict_time(const EvictTimeProfile& profile,
                                const crypto::Key& victim_key) {
   // Each trial evicts exactly one set, so only the trials whose sweep index
   // matched the prediction carry weight.
-  return score_contrast(
-      l1, tables_base, victim_key,
-      [&](int pos, int v, std::uint32_t s) {
-        return profile.cell_mean(pos, v, s);
-      },
-      [&](int pos, std::uint32_t s) { return profile.set_mean(pos, s); },
-      [&](int pos, int v, std::uint32_t s) {
-        return profile.cell_count(pos, v, s);
-      });
+  return score_contrast(profile, l1, tables_base, victim_key,
+                        [&](int pos, int v, std::uint32_t s) {
+                          return profile.cell_count(pos, v, s);
+                        });
 }
 
 }  // namespace tsc::attack

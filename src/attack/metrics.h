@@ -14,6 +14,13 @@
 // only the attacker's architectural (modulo) model of the victim binary -
 // precisely the model randomized placement invalidates.
 //
+// Cost: the set (or monitored-line) marginal a score subtracts depends on
+// the position and the set only, so each scorer computes every marginal
+// once per position, through the profile's own set_mean / line_mean, and
+// reuses it across all 256 x 256 (guess, value) pairs.  The doubles are
+// the same bits a per-pair call would produce; the exactness test keeps
+// that per-pair formulation as its oracle.
+//
 // Because placement functions never see the low offset bits, both attacks
 // resolve key bytes at cache-line granularity only: with 8 table entries
 // per 32B line the best possible true rank is bounded by 7, and a "leaky"

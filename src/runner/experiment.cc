@@ -16,6 +16,7 @@
 
 #include "runner/dispatcher.h"
 #include "runner/fault.h"
+#include "runner/thread_pool.h"
 
 namespace tsc::runner {
 
@@ -53,7 +54,9 @@ void print_usage(std::FILE* out) {
                "                      file + rename) instead of stdout\n"
                "  --list              list experiments and exit\n"
                "\n"
-               "fault tolerance (docs/fault_tolerance.md):\n"
+               "fault tolerance (docs/fault_tolerance.md; fig5, attack_matrix,\n"
+               "flush_matrix and pwcet_matrix only - the other experiments\n"
+               "reject these flags and --dispatch with exit 2):\n"
                "  --checkpoint FILE   flush completed shards to FILE; SIGINT/\n"
                "                      SIGTERM drain in-flight shards, flush and\n"
                "                      exit 75 (resumable)\n"
@@ -156,6 +159,8 @@ int experiment_main(const std::string& name, int argc, char** argv) {
   int worker_rfd = -1;
   int worker_wfd = -1;
   bool dispatch_worker = false;
+  // First flag that only a session-aware experiment honours (empty: none).
+  std::string session_flag;
 
   // CLI contract: EVERY malformed or unknown flag exits 2 with the usage
   // text on stderr (pinned by the CLI-contract tests).
@@ -171,6 +176,15 @@ int experiment_main(const std::string& name, int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     std::uint64_t v = 0;
+    if (session_flag.empty() &&
+        (arg == "--checkpoint" || arg == "--resume" ||
+         arg == "--checkpoint-every" || arg == "--checkpoint-interval-ms" ||
+         arg == "--max-attempts" || arg == "--watchdog-ms" ||
+         arg == "--allow-partial" || arg == "--inject-fault" ||
+         arg == "--dispatch" || arg == "--heartbeat-ms" ||
+         arg == "--backoff-ms" || arg == "--backoff-cap-ms")) {
+      session_flag = arg;
+    }
     if (arg == "--list") {
       for (const Experiment& e : all_experiments()) {
         std::printf("%-24s %s\n", e.name.c_str(), e.description.c_str());
@@ -323,6 +337,16 @@ int experiment_main(const std::string& name, int argc, char** argv) {
     }
     return kExitUsage;
   }
+  if (!session_flag.empty() && !experiment->honours_session) {
+    std::string honouring;
+    for (const Experiment& e : all_experiments()) {
+      if (!e.honours_session) continue;
+      honouring += (honouring.empty() ? "" : ", ") + e.name;
+    }
+    return usage_error(session_flag + " has no effect on experiment '" +
+                       experiment->name + "'; only " + honouring +
+                       " run through the fault-tolerant session");
+  }
 
   // A stale flag from a previous in-process run must not abort this one;
   // handlers are installed only when interruption has somewhere to resume
@@ -452,9 +476,13 @@ int experiment_main(const std::string& name, int argc, char** argv) {
       return kExitFailure;
     }
   }
+  // The resolved count, never the 0 that requests "auto".
+  const unsigned workers =
+      dispatch_processes > 0 ? static_cast<unsigned>(dispatch_processes)
+      : options.workers > 0  ? options.workers
+                             : ThreadPool::default_threads();
   std::fprintf(stderr, "[tsc_run] %s finished in %.2fs (workers=%u)\n",
-               experiment->name.c_str(), elapsed,
-               options.workers);
+               experiment->name.c_str(), elapsed, workers);
   return partial ? kExitPartial : kExitOk;
 }
 

@@ -35,9 +35,9 @@ struct RunOptions {
   /// Fault-tolerance configuration (checkpoint/resume, retries, watchdog,
   /// fault injection) and the live session experiment_main opens from it.
   /// Null session (the default) keeps every experiment on the plain
-  /// parallel_map path with zero added cost.  The campaign-shaped
-  /// experiments (fig5, attack_matrix, pwcet_matrix) honour the session;
-  /// the cheap per-run experiments ignore it.
+  /// parallel_map path with zero added cost.  Only experiments registered
+  /// with `honours_session` run through the session; experiment_main
+  /// rejects the session flags for every other experiment.
   FtOptions ft{};
   FtSession* ft_session = nullptr;
 
@@ -51,6 +51,9 @@ struct Experiment {
   std::string name;
   std::string description;
   Json (*run)(const RunOptions&);
+  /// Runs its shards through RunOptions::ft_session, so checkpointing,
+  /// retries, fault injection and --dispatch reach it.
+  bool honours_session = false;
 };
 
 /// All registered experiments, in presentation order.

@@ -1864,7 +1864,7 @@ const std::vector<Experiment>& all_experiments() {
       {"fig4", "per-value timing variation of input byte 4 (paper Figure 4)",
        run_fig4},
       {"fig5", "Bernstein attack effectiveness, 4 setups (paper Figure 5)",
-       run_fig5},
+       run_fig5, /*honours_session=*/true},
       {"sec621", "Prime+Probe / Evict+Time generalization (section 6.2.1)",
        run_sec621},
       {"sec622", "MBPTA compliance: Ljung-Box + KS (section 6.2.2)",
@@ -1879,16 +1879,16 @@ const std::vector<Experiment>& all_experiments() {
        run_ablation_partitioning},
       {"attack_matrix",
        "Prime+Probe / Evict+Time vs all placement policies x partitioning",
-       run_attack_matrix},
+       run_attack_matrix, /*honours_session=*/true},
       {"flush_matrix",
        "Flush+Reload / Flush+Flush (shared-memory flush channel) vs all "
        "placement policies x partitioning",
-       run_flush_matrix},
+       run_flush_matrix, /*honours_session=*/true},
       {"pwcet_matrix",
        "MBPTA pWCET matrix: kernels x placement policies x partitioning, "
        "with fit diagnostics, convergence curves and the security/"
        "predictability tradeoff table",
-       run_pwcet_matrix},
+       run_pwcet_matrix, /*honours_session=*/true},
       {"ct_audit",
        "static constant-time audit: taint analysis of clean + leaky "
        "kernels against the AES round-key region, cross-checked by the "

@@ -12,12 +12,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "runner/dispatcher.h"
@@ -268,6 +270,41 @@ TEST(CliContractTest, DispatchAndWorkerModeAreMutuallyExclusive) {
                      "--dispatch-worker");
 }
 
+TEST(CliContractTest, SessionFlagsOnExperimentsWithoutSessionExitTwo) {
+  // Only fig5 and the three matrices run through the fault-tolerant
+  // session; any other experiment would run without the flag's effect, so
+  // the CLI refuses the flag and names it.
+  const std::string ckpt = temp_path("sec621.ckpt");
+  (void)std::remove(ckpt.c_str());
+  expect_usage_error("--experiment sec621 --fast --checkpoint " + ckpt,
+                     "--checkpoint");
+  std::ifstream written(ckpt);
+  EXPECT_FALSE(written.good()) << "a refused run must not write " << ckpt;
+
+  expect_usage_error("--experiment fig1 --samples 400 --dispatch 2",
+                     "--dispatch");
+  expect_usage_error(
+      "--experiment pwcet_exceedance --samples 120 --shard-size 40 "
+      "--inject-fault shard=0,kind=throw",
+      "--inject-fault");
+  expect_usage_error("--experiment fig2 --resume --checkpoint " + ckpt,
+                     "has no effect on experiment 'fig2'");
+}
+
+TEST(CliContractTest, FinishLineReportsResolvedWorkerCount) {
+  // --shards omitted requests "auto"; the finish line must report the
+  // worker count actually used, not the 0 that asked for it.
+  const CliResult r =
+      run_tsc("--experiment fig5 --samples 3000 --shard-size 1000 --json");
+  ASSERT_EQ(r.exit_code, 0) << r.err;
+  EXPECT_NE(r.err.find("finished in"), std::string::npos) << r.err;
+  EXPECT_EQ(r.err.find("workers=0"), std::string::npos) << r.err;
+  const unsigned expected = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_NE(r.err.find("(workers=" + std::to_string(expected) + ")"),
+            std::string::npos)
+      << r.err;
+}
+
 TEST(CliContractTest, HelpDocumentsDispatchModeAndExitsZero) {
   const CliResult r = run_tsc("--help");
   EXPECT_EQ(r.exit_code, 0);
@@ -289,8 +326,11 @@ void expect_golden(const CliResult& r, const std::string& fixture,
 TEST(DispatchIdentityTest, CleanRunMatchesGoldenForTwoWorkerCounts) {
   expect_golden(run_tsc(std::string(kFig5Args) + " --dispatch 2"),
                 "tests/golden/fig5_s3000_ss1000.json", "fig5 --dispatch 2");
-  expect_golden(run_tsc(std::string(kFig5Args) + " --dispatch 3"),
-                "tests/golden/fig5_s3000_ss1000.json", "fig5 --dispatch 3");
+  const CliResult three = run_tsc(std::string(kFig5Args) + " --dispatch 3");
+  expect_golden(three, "tests/golden/fig5_s3000_ss1000.json",
+                "fig5 --dispatch 3");
+  // The finish line counts the worker processes.
+  EXPECT_NE(three.err.find("(workers=3)"), std::string::npos) << three.err;
 }
 
 TEST(DispatchIdentityTest, CrashedWorkerIsRetriedToGoldenBytes) {
