@@ -1,6 +1,7 @@
 #include "runner/checkpoint.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -9,7 +10,6 @@
 #include <cstring>
 #include <deque>
 #include <fstream>
-#include <sstream>
 #include <thread>
 
 namespace tsc::runner {
@@ -21,6 +21,21 @@ constexpr char kMagic[6] = {'T', 'S', 'C', 'K', 'P', 'T'};
 constexpr std::size_t kVersionOffset = sizeof(kMagic);
 
 using Clock = std::chrono::steady_clock;
+
+/// Write all `n` bytes, retrying short writes and EINTR; false with errno
+/// set on failure.
+bool write_all(int fd, const std::uint8_t* data, std::size_t n) {
+  std::size_t written = 0;
+  while (written < n) {
+    const ssize_t w = ::write(fd, data + written, n - written);
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    written += static_cast<std::size_t>(w);
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -48,16 +63,10 @@ void atomic_write_file(const std::string& path, std::string_view contents) {
   };
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) fail("cannot open temp file for writing");
-  std::size_t written = 0;
-  while (written < contents.size()) {
-    const ssize_t n =
-        ::write(fd, contents.data() + written, contents.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      (void)::close(fd);
-      fail("short write to temp file");
-    }
-    written += static_cast<std::size_t>(n);
+  if (!write_all(fd, reinterpret_cast<const std::uint8_t*>(contents.data()),
+                 contents.size())) {
+    (void)::close(fd);
+    fail("short write to temp file");
   }
   if (::fsync(fd) != 0) {
     (void)::close(fd);
@@ -89,20 +98,69 @@ void atomic_write_file(const std::string& path, std::string_view contents) {
 }
 
 // --- Checkpoint --------------------------------------------------------------
+//
+// File layout (version 2):
+//
+//   header := magic[6], u32 version, string experiment, string fingerprint,
+//             fixed64 fnv1a64(every header byte before it)
+//   record := string stage, varint task_count, varint task,
+//             varint payload_size, payload, fixed64 fnv1a64(record bytes)
+//   file   := header record*
+//
+// Records are self-contained, so a flush only appends, and every byte of a
+// record is under its checksum: a flipped task index is a dropped record,
+// never a payload loaded under another shard's index.
 
-Checkpoint Checkpoint::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+namespace {
+
+void put_header(ByteWriter& w, const std::string& experiment,
+                const std::string& fingerprint) {
+  w.put_bytes(reinterpret_cast<const std::uint8_t*>(kMagic), sizeof(kMagic));
+  for (int i = 0; i < 4; ++i) {
+    w.put_u8(static_cast<std::uint8_t>(kCheckpointVersion >> (8 * i)));
+  }
+  w.put_string(experiment);
+  w.put_string(fingerprint);
+  w.put_fixed64(fnv1a64(w.bytes().data(), w.bytes().size()));
+}
+
+void put_record(ByteWriter& w, const std::string& stage,
+                std::size_t task_count, std::size_t task,
+                const std::vector<std::uint8_t>& payload) {
+  const std::size_t start = w.bytes().size();
+  w.put_string(stage);
+  w.put_varint(task_count);
+  w.put_varint(task);
+  w.put_varint(payload.size());
+  w.put_bytes(payload.data(), payload.size());
+  w.put_fixed64(fnv1a64(w.bytes().data() + start, w.bytes().size() - start));
+}
+
+std::vector<std::uint8_t> read_whole_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  const std::streamoff size = in.good() ? std::streamoff(in.tellg()) : -1;
+  if (size < 0) {
+    throw CheckpointError("cannot read checkpoint '" + path + "'");
+  }
+  std::vector<std::uint8_t> raw(static_cast<std::size_t>(size));
+  in.seekg(0);
+  in.read(reinterpret_cast<char*>(raw.data()),
+          static_cast<std::streamsize>(raw.size()));
   if (!in.good()) {
     throw CheckpointError("cannot read checkpoint '" + path + "'");
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string raw = buf.str();
-  const auto* data = reinterpret_cast<const std::uint8_t*>(raw.data());
+  return raw;
+}
+
+}  // namespace
+
+Checkpoint Checkpoint::load(const std::string& path) {
+  const std::vector<std::uint8_t> raw = read_whole_file(path);
+  const std::uint8_t* data = raw.data();
 
   if (raw.size() < kVersionOffset + 4 ||
-      std::char_traits<char>::compare(raw.data(), kMagic, sizeof(kMagic)) !=
-          0) {
+      std::char_traits<char>::compare(reinterpret_cast<const char*>(data),
+                                      kMagic, sizeof(kMagic)) != 0) {
     throw CheckpointError("'" + path + "' is not a tsc checkpoint");
   }
   std::uint32_t version = 0;
@@ -116,71 +174,135 @@ Checkpoint Checkpoint::load(const std::string& path) {
         std::to_string(kCheckpointVersion) + " - delete it and rerun");
   }
 
-  ByteReader reader(data + kVersionOffset + 4, raw.size() - kVersionOffset - 4);
+  ByteReader reader(raw);
+  const auto offset = [&] { return raw.size() - reader.remaining(); };
+  (void)reader.bytes(kVersionOffset + 4);
   Checkpoint out;
-  out.experiment_ = reader.string();
-  out.fingerprint_ = reader.string();
-  const std::uint64_t stage_count = reader.varint();
-  for (std::uint64_t s = 0; s < stage_count; ++s) {
-    const std::string name = reader.string();
-    Stage& stage = out.stages_[name];
-    stage.task_count = static_cast<std::size_t>(reader.varint());
-    const std::uint64_t records = reader.varint();
-    for (std::uint64_t r = 0; r < records; ++r) {
-      const auto task = static_cast<std::size_t>(reader.varint());
-      const auto size = static_cast<std::size_t>(reader.varint());
-      const std::uint8_t* payload = reader.bytes(size);
-      const std::uint64_t stored_sum = reader.fixed64();
-      if (fnv1a64(payload, size) != stored_sum) {
-        // A torn or corrupted record: drop it (the shard re-runs) but keep
-        // the rest of the checkpoint usable.
-        std::fprintf(stderr,
-                     "[checkpoint] dropping corrupt record %s/%zu from %s\n",
-                     name.c_str(), task, path.c_str());
-        continue;
-      }
-      stage.records[task].assign(payload, payload + size);
+  try {
+    out.experiment_ = reader.string();
+    out.fingerprint_ = reader.string();
+    const std::size_t header_size = offset();
+    if (reader.fixed64() != fnv1a64(data, header_size)) {
+      throw CheckpointError("header checksum mismatch");
     }
+  } catch (const CheckpointError& e) {
+    throw CheckpointError("checkpoint '" + path +
+                          "' has a damaged header (" + e.what() + ")");
+  }
+
+  while (reader.remaining() > 0) {
+    const std::size_t start = offset();
+    std::string stage_name;
+    std::size_t task_count = 0;
+    std::size_t task = 0;
+    std::size_t size = 0;
+    const std::uint8_t* payload = nullptr;
+    std::size_t end = 0;
+    std::uint64_t stored_sum = 0;
+    try {
+      stage_name = reader.string();
+      task_count = static_cast<std::size_t>(reader.varint());
+      task = static_cast<std::size_t>(reader.varint());
+      size = static_cast<std::size_t>(reader.varint());
+      payload = reader.bytes(size);
+      end = offset();
+      stored_sum = reader.fixed64();
+    } catch (const CheckpointError&) {
+      // A crash mid-append leaves a partial last record: drop it (its shard
+      // re-runs); the next full rewrite compacts it away.
+      std::fprintf(stderr,
+                   "[checkpoint] dropping torn record at byte %zu (%zu "
+                   "trailing bytes) of %s\n",
+                   start, raw.size() - start, path.c_str());
+      break;
+    }
+    if (fnv1a64(data + start, end - start) != stored_sum) {
+      std::fprintf(stderr,
+                   "[checkpoint] dropping corrupt record at byte %zu of %s\n",
+                   start, path.c_str());
+      continue;
+    }
+    if (task >= task_count) {
+      throw CheckpointError("checkpoint '" + path + "' records task " +
+                            std::to_string(task) + " of a " +
+                            std::to_string(task_count) + "-task stage");
+    }
+    Stage& stage = out.stages_[stage_name];
+    if (stage.records.empty() && stage.task_count == 0) {
+      stage.task_count = task_count;
+    }
+    out.check_task_count(stage, task_count);
+    stage.records[task].assign(payload, payload + size);
   }
   return out;
 }
 
-void Checkpoint::save(const std::string& path) const {
-  ByteWriter writer;
-  writer.put_bytes(reinterpret_cast<const std::uint8_t*>(kMagic),
-                   sizeof(kMagic));
-  writer.put_fixed64(0);  // placeholder; rewritten below
-  // put_fixed64 wrote 8 bytes; the format wants a fixed u32 version at
-  // kVersionOffset followed directly by the body, so build the header by
-  // hand instead.
-  std::vector<std::uint8_t> head = std::move(writer).take();
-  head.resize(kVersionOffset);
-  for (int i = 0; i < 4; ++i) {
-    head.push_back(
-        static_cast<std::uint8_t>(kCheckpointVersion >> (8 * i)));
-  }
+void Checkpoint::save(const std::string& path) {
+  if (mark_ && mark_->path == path && append(*mark_)) return;
+  rewrite(path);
+}
 
-  ByteWriter body;
-  body.put_string(experiment_);
-  body.put_string(fingerprint_);
-  body.put_varint(stages_.size());
+void Checkpoint::rewrite(const std::string& path) {
+  mark_.reset();
+  ByteWriter w;
+  put_header(w, experiment_, fingerprint_);
   for (const auto& [name, stage] : stages_) {
-    body.put_string(name);
-    body.put_varint(stage.task_count);
-    body.put_varint(stage.records.size());
     for (const auto& [task, payload] : stage.records) {
-      body.put_varint(task);
-      body.put_varint(payload.size());
-      body.put_bytes(payload.data(), payload.size());
-      body.put_fixed64(fnv1a64(payload.data(), payload.size()));
+      put_record(w, name, stage.task_count, task, payload);
     }
   }
+  atomic_write_file(
+      path, std::string_view(reinterpret_cast<const char*>(w.bytes().data()),
+                             w.bytes().size()));
+  for (auto& [name, stage] : stages_) stage.unsaved.clear();
+  struct stat st {};
+  if (::stat(path.c_str(), &st) == 0) {
+    mark_ = FileMark{path, static_cast<std::uint64_t>(st.st_dev),
+                     static_cast<std::uint64_t>(st.st_ino),
+                     static_cast<std::uint64_t>(st.st_size)};
+  }
+}
 
-  std::string contents(reinterpret_cast<const char*>(head.data()),
-                       head.size());
-  contents.append(reinterpret_cast<const char*>(body.bytes().data()),
-                  body.bytes().size());
-  atomic_write_file(path, contents);
+bool Checkpoint::append(FileMark mark) {
+  const int fd = ::open(mark.path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+  if (fd < 0) return false;
+  struct stat st {};
+  if (::fstat(fd, &st) != 0 ||
+      static_cast<std::uint64_t>(st.st_dev) != mark.dev ||
+      static_cast<std::uint64_t>(st.st_ino) != mark.ino ||
+      static_cast<std::uint64_t>(st.st_size) != mark.size) {
+    (void)::close(fd);
+    return false;
+  }
+  ByteWriter w;
+  for (const auto& [name, stage] : stages_) {
+    for (const std::size_t task : stage.unsaved) {
+      put_record(w, name, stage.task_count, task, stage.records.at(task));
+    }
+  }
+  const std::vector<std::uint8_t>& bytes = w.bytes();
+  if (bytes.empty()) {
+    (void)::close(fd);
+    return true;
+  }
+  // From here a failure may leave a torn tail: forget the mark so the next
+  // save rewrites (and so compacts) the whole log.
+  mark_.reset();
+  const auto fail = [&](const std::string& what) {
+    const int err = errno;
+    (void)::close(fd);
+    throw CheckpointError(what + " ('" + mark.path + "'): " +
+                          (err != 0 ? std::strerror(err) : "unknown error"));
+  };
+  if (!write_all(fd, bytes.data(), bytes.size())) {
+    fail("append to checkpoint failed");
+  }
+  if (::fdatasync(fd) != 0) fail("fdatasync of checkpoint failed");
+  if (::close(fd) != 0) fail("close of checkpoint failed");
+  for (auto& [name, stage] : stages_) stage.unsaved.clear();
+  mark.size += bytes.size();
+  mark_ = std::move(mark);
+  return true;
 }
 
 void Checkpoint::check_task_count(const Stage& stage,
@@ -202,6 +324,7 @@ void Checkpoint::put(const std::string& stage_name, std::size_t task_count,
   }
   check_task_count(stage, task_count);
   stage.records[task] = std::move(payload);
+  stage.unsaved.insert(task);
 }
 
 const std::vector<std::uint8_t>* Checkpoint::find(const std::string& stage_name,
@@ -212,6 +335,13 @@ const std::vector<std::uint8_t>* Checkpoint::find(const std::string& stage_name,
   check_task_count(it->second, task_count);
   const auto rec = it->second.records.find(task);
   return rec == it->second.records.end() ? nullptr : &rec->second;
+}
+
+const Checkpoint::Records& Checkpoint::records(
+    const std::string& stage_name) const {
+  static const Records kNone;
+  const auto it = stages_.find(stage_name);
+  return it == stages_.end() ? kNone : it->second.records;
 }
 
 std::size_t Checkpoint::record_count() const {

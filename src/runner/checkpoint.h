@@ -5,14 +5,15 @@
 // campaign could be interrupted, resumed and distributed.  This layer makes
 // that real:
 //
-//   * Checkpoint - a versioned binary file of completed shard payloads,
-//     keyed by (stage, task index).  Payloads are the EXACT encoded task
-//     results (doubles as IEEE bit patterns, integers varint-packed), so a
-//     resumed campaign merges byte-identically with an uninterrupted one.
-//     Every record carries an FNV-1a checksum; load drops corrupt records
-//     (they simply re-run) but REJECTS version or fingerprint mismatches
-//     outright.  Writes are atomic (temp file + rename), so a crash
-//     mid-flush leaves the previous checkpoint intact.
+//   * Checkpoint - a versioned, append-only log of completed shard
+//     payloads, keyed by (stage, task index).  Payloads are the EXACT
+//     encoded task results (doubles as IEEE bit patterns, integers
+//     varint-packed), so a resumed campaign merges byte-identically with an
+//     uninterrupted one.  Every record is self-contained and carries an
+//     FNV-1a checksum over all of its bytes; load drops corrupt records and
+//     a torn tail (they simply re-run) but REJECTS version, header or
+//     fingerprint mismatches outright.  A flush appends only the new
+//     records; the file is created (and compacted) by an atomic rewrite.
 //
 //   * FtSession::run_stage / ft_parallel_map - parallel_map with fault
 //     handling: per-shard retry with a bounded attempt budget, a watchdog
@@ -36,6 +37,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -162,8 +164,9 @@ void atomic_write_file(const std::string& path, std::string_view contents);
 // --- checkpoint file ---------------------------------------------------------
 
 /// Supported checkpoint format version.  Load rejects any other version -
-/// a stale file must be regenerated, never half-interpreted.
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+/// a stale file must be regenerated, never half-interpreted.  Version 2 is
+/// the append-only record log (docs/fault_tolerance.md).
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /// In-memory checkpoint: completed task payloads keyed by (stage, task),
 /// bound to one (experiment, fingerprint) pair.  The fingerprint encodes
@@ -172,19 +175,28 @@ inline constexpr std::uint32_t kCheckpointVersion = 1;
 /// differently-sharded campaign.
 class Checkpoint {
  public:
+  /// Records of one stage, keyed by task index.
+  using Records = std::map<std::size_t, std::vector<std::uint8_t>>;
+
   Checkpoint() = default;
   Checkpoint(std::string experiment, std::string fingerprint)
       : experiment_(std::move(experiment)),
         fingerprint_(std::move(fingerprint)) {}
 
   /// Parse `path`.  Throws CheckpointError on a missing/unreadable file,
-  /// bad magic, version mismatch or structural corruption.  Records whose
-  /// checksum does not match their payload are dropped with a note on
-  /// stderr (their shards re-run on resume).
+  /// bad magic, version mismatch, header damage or a record that
+  /// contradicts its stage's shard plan.  A record whose checksum does not
+  /// match its bytes, and a record torn off at end of file (a crash
+  /// mid-append), are dropped with a note on stderr: their shards re-run.
   [[nodiscard]] static Checkpoint load(const std::string& path);
 
-  /// Serialize and write atomically.
-  void save(const std::string& path) const;
+  /// Persist to `path`.  While the file there is still the one this object
+  /// last left (same device, inode and size), only the records put since
+  /// then are appended, followed by one fdatasync.  Otherwise - the first
+  /// save, the first after load, or a file changed behind our back - the
+  /// whole log is rewritten with atomic_write_file, which also compacts
+  /// away a torn tail and superseded records.
+  void save(const std::string& path);
 
   /// Record one completed task payload (replaces any previous record).
   void put(const std::string& stage, std::size_t task_count, std::size_t task,
@@ -197,6 +209,9 @@ class Checkpoint {
                                                       std::size_t task_count,
                                                       std::size_t task) const;
 
+  /// Every record of `stage` (empty when it has none).
+  [[nodiscard]] const Records& records(const std::string& stage) const;
+
   [[nodiscard]] const std::string& experiment() const { return experiment_; }
   [[nodiscard]] const std::string& fingerprint() const { return fingerprint_; }
   [[nodiscard]] std::size_t record_count() const;
@@ -204,13 +219,26 @@ class Checkpoint {
  private:
   struct Stage {
     std::size_t task_count = 0;
-    std::map<std::size_t, std::vector<std::uint8_t>> records;
+    Records records;
+    std::set<std::size_t> unsaved;  ///< tasks put since the last save
+  };
+  /// The file a save left behind: appending is safe only to exactly it.
+  struct FileMark {
+    std::string path;
+    std::uint64_t dev = 0;
+    std::uint64_t ino = 0;
+    std::uint64_t size = 0;
   };
   void check_task_count(const Stage& stage, std::size_t task_count) const;
+  void rewrite(const std::string& path);
+  /// Append the unsaved records to the file `mark` describes; false when
+  /// that file is gone or changed, so the caller rewrites instead.
+  [[nodiscard]] bool append(FileMark mark);
 
   std::string experiment_;
   std::string fingerprint_;
   std::map<std::string, Stage> stages_;
+  std::optional<FileMark> mark_;
 };
 
 // --- fault-tolerant shard runner ---------------------------------------------

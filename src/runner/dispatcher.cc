@@ -385,11 +385,11 @@ void DispatchSupervisorSession::handle_frame(
     case MsgType::kStageReady: {
       const std::string stage = r.string();
       (void)r.varint();  // count; re-validated against Result frames
-      const auto done = stage_done_frames_.find(stage);
-      if (done != stage_done_frames_.end()) {
+      const auto done = done_stages_.find(stage);
+      if (done != done_stages_.end()) {
         // A respawned worker re-running the experiment from the top:
         // replay the completed stage so it catches up without recompute.
-        send_frame(w.wfd, done->second);
+        send_frame(w.wfd, stage_done_frame(stage, done->second));
         w.ready = false;
         return;
       }
@@ -474,31 +474,39 @@ void DispatchSupervisorSession::read_worker(Worker& w) {
   }
 }
 
-void DispatchSupervisorSession::broadcast_stage_done(const std::string& stage) {
-  if (stage_ == nullptr) return;
+std::vector<std::uint8_t> DispatchSupervisorSession::stage_done_frame(
+    const std::string& stage, std::size_t count) const {
   ByteWriter msg;
   msg.put_u8(static_cast<std::uint8_t>(MsgType::kStageDone));
   msg.put_string(stage);
-  msg.put_varint(stage_->count);
-  std::size_t records = 0;
-  for (const auto& p : *stage_->payloads) {
-    if (p) ++records;
+  msg.put_varint(count);
+  const Checkpoint::Records& records = checkpoint_.records(stage);
+  msg.put_varint(records.size());
+  for (const auto& [task, payload] : records) {
+    msg.put_varint(task);
+    msg.put_varint(payload.size());
+    msg.put_bytes(payload.data(), payload.size());
   }
-  msg.put_varint(records);
-  for (std::size_t i = 0; i < stage_->count; ++i) {
-    const auto& p = (*stage_->payloads)[i];
-    if (!p) continue;
-    msg.put_varint(i);
-    msg.put_varint(p->size());
-    msg.put_bytes(p->data(), p->size());
-  }
-  const std::vector<std::uint8_t>& frame =
-      stage_done_frames_.emplace(stage, msg.bytes()).first->second;
-  for (auto& wp : workers_) {
-    Worker& w = *wp;
-    if (!w.alive || !w.ready || w.ready_stage != stage) continue;
+  return std::move(msg).take();
+}
+
+void DispatchSupervisorSession::release_parked_workers() {
+  std::map<std::string, std::vector<std::uint8_t>> frames;
+  // Indexed: a lost worker's respawn appends to workers_.
+  for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
+    Worker& w = *workers_[wi];
+    if (!w.alive || !w.ready) continue;
+    const auto done = done_stages_.find(w.ready_stage);
+    if (done == done_stages_.end()) continue;
+    auto frame = frames.find(done->first);
+    if (frame == frames.end()) {
+      frame = frames
+                  .emplace(done->first,
+                           stage_done_frame(done->first, done->second))
+                  .first;
+    }
     try {
-      send_frame(w.wfd, frame);
+      send_frame(w.wfd, frame->second);
       w.ready = false;
     } catch (const DispatchError& e) {
       lose_worker(w, std::string("StageDone write failed: ") + e.what(),
@@ -514,6 +522,7 @@ DispatchSupervisorSession::run_stage(
         run_encoded) {
   if (degraded_) return FtSession::run_stage(stage, pool, count, run_encoded);
   ensure_workers();
+  release_parked_workers();
   if (degraded_) return FtSession::run_stage(stage, pool, count, run_encoded);
 
   std::vector<std::optional<std::vector<std::uint8_t>>> payloads(count);
@@ -669,7 +678,7 @@ DispatchSupervisorSession::run_stage(
             : "campaign interrupted (no --checkpoint: progress discarded)");
   }
 
-  broadcast_stage_done(stage);
+  done_stages_.emplace(stage, count);
   stage_ = nullptr;
   if (unflushed_ > 0) flush();
   return payloads;

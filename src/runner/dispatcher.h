@@ -27,9 +27,13 @@
 // BIT FOR BIT, for any worker count, crash pattern or retry history.  The
 // shard planner's splittable seeds make every shard a pure function of its
 // index; payloads round-trip exactly; the supervisor merges in shard-index
-// order.  At the end of each stage the supervisor broadcasts the complete
-// payload vector to every worker, so workers continue into the next stage
-// exactly like a resumed single-process run would.
+// order.  A worker that finishes a stage parks on it.  The supervisor sends
+// it the stage's complete payload vector (StageDone) only when it has to
+// continue: at the start of the supervisor's next stage, or when a
+// respawned worker re-announces a stage that is already done.  It then
+// proceeds exactly like a resumed single-process run would.  After the last
+// stage, parked workers get Shutdown instead, so a single-stage campaign
+// never copies or pipes its payloads back to the workers.
 //
 // Wire protocol (little-endian, layered on ByteWriter/ByteReader):
 //
@@ -163,7 +167,13 @@ class DispatchSupervisorSession : public FtSession {
   void shutdown_workers();
   void enter_degraded(const std::string& why);
   void handle_frame(Worker& w, const std::vector<std::uint8_t>& body);
-  void broadcast_stage_done(const std::string& stage);
+  /// The StageDone frame of completed stage `stage`, built from the
+  /// records the session keeps (`keep_record`).
+  [[nodiscard]] std::vector<std::uint8_t> stage_done_frame(
+      const std::string& stage, std::size_t count) const;
+  /// Send StageDone to every live worker parked on a completed stage, so
+  /// it continues into the stage the supervisor is starting.
+  void release_parked_workers();
   /// Retry bookkeeping for one failed shard attempt: requeue after the
   /// deterministic backoff, record incomplete (--allow-partial), or set the
   /// stage's abort error and start draining.
@@ -173,9 +183,10 @@ class DispatchSupervisorSession : public FtSession {
 
   DispatchOptions dispatch_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  /// Completed stages' StageDone frame bodies, replayed to respawned
-  /// workers as they re-run the experiment from the top.
-  std::map<std::string, std::vector<std::uint8_t>> stage_done_frames_;
+  /// Completed stages and their task counts.  Their StageDone frames are
+  /// built on demand for parked workers and for respawned workers that
+  /// re-run the experiment from the top.
+  std::map<std::string, std::size_t> done_stages_;
   int respawns_left_ = 0;
   int consecutive_spawn_failures_ = 0;
   int next_worker_id_ = 0;
@@ -192,9 +203,10 @@ class DispatchSupervisorSession : public FtSession {
 
 /// The worker: an FtSession whose run_stage is a lease client.  It
 /// announces each stage, computes leased shards via `run_encoded`, streams
-/// payloads back, and returns the supervisor's broadcast payload vector so
-/// the experiment code proceeds exactly as in a resumed single-process
-/// run.  Runs a heartbeat thread for the life of the session.
+/// payloads back, and returns the payload vector of the supervisor's
+/// StageDone so the experiment code proceeds exactly as in a resumed
+/// single-process run.  Runs a heartbeat thread for the life of the
+/// session.
 class DispatchWorkerSession : public FtSession {
  public:
   /// `read_fd`/`write_fd` are the pipe ends passed via --dispatch-worker.

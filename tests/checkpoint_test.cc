@@ -13,6 +13,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attack/evicttime.h"
@@ -334,6 +335,313 @@ TEST(CheckpointTest, AtomicWriteFailsLoudlyAndLeavesNoTempFile) {
   EXPECT_TRUE(read_file(path + ".tmp").empty());
 }
 
+TEST(CheckpointTest, FlippedTaskIndexDropsRecordInsteadOfMovingIt) {
+  // The checksum covers the whole record, not just the payload: a bit flip
+  // in the task index must cost that record, never load its payload under
+  // another shard's index.
+  const std::string path = temp_path("task_flip.bin");
+  Checkpoint ckpt("fig5", "fp");
+  ckpt.put("stage", 4, 1, {0xA1, 0xB2, 0xC3, 0xD4});
+  ckpt.put("stage", 4, 3, {0x11, 0x22});
+  ckpt.save(path);
+
+  std::string raw = read_file(path);
+  const std::size_t at = raw.find(std::string("\xA1\xB2\xC3\xD4", 4));
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_GE(at, 2u);
+  // The payload is preceded by its task varint (1) and size varint (4).
+  ASSERT_EQ(raw[at - 1], 4);
+  ASSERT_EQ(raw[at - 2], 1);
+  raw[at - 2] = 2;
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << raw;
+
+  const Checkpoint loaded = Checkpoint::load(path);
+  EXPECT_EQ(loaded.find("stage", 4, 2), nullptr)
+      << "payload of task 1 loaded under the flipped index 2";
+  EXPECT_EQ(loaded.find("stage", 4, 1), nullptr);
+  ASSERT_NE(loaded.find("stage", 4, 3), nullptr);
+  EXPECT_EQ(loaded.record_count(), 1u);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, RejectsVersionOneFile) {
+  const std::string path = temp_path("version1.bin");
+  Checkpoint ckpt("fig5", "fp");
+  ckpt.put("stage", 1, 0, {9});
+  ckpt.save(path);
+  std::string raw = read_file(path);
+  raw[6] = 1;
+  raw[7] = raw[8] = raw[9] = 0;
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << raw;
+  try {
+    (void)Checkpoint::load(path);
+    FAIL() << "expected CheckpointError";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("format version 1;"),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("delete it and rerun"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+/// Payload of toy record `i`: a length and content that vary with i, so
+/// records straddle varint width boundaries and never coincide.
+std::vector<std::uint8_t> toy_payload(std::size_t i) {
+  std::vector<std::uint8_t> out(i * 11 % 37);
+  for (std::size_t b = 0; b < out.size(); ++b) {
+    out[b] = static_cast<std::uint8_t>(i * 31 + b * 7);
+  }
+  return out;
+}
+
+struct ToyRecord {
+  std::string stage;
+  std::size_t task_count;
+  std::size_t task;
+};
+
+/// A multi-stage record set; stage "b" is filled out of task order.
+std::vector<ToyRecord> toy_records() {
+  std::vector<ToyRecord> out;
+  for (std::size_t t = 0; t < 5; ++t) out.push_back({"a", 5, t});
+  for (const std::size_t t : {6u, 0u, 3u, 130u, 7u}) {
+    out.push_back({"b", 200, t});
+  }
+  for (std::size_t t = 0; t < 3; ++t) out.push_back({"c/last", 3, t});
+  return out;
+}
+
+/// Save `records` to `path` one save per record; returns the file size
+/// after each save, asserting that every save only appended.
+std::vector<std::size_t> save_growing(const std::string& path,
+                                      const std::vector<ToyRecord>& records) {
+  std::remove(path.c_str());
+  Checkpoint ckpt("toy", "fp-growing");
+  std::vector<std::size_t> sizes;
+  std::string previous;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const ToyRecord& r = records[i];
+    ckpt.put(r.stage, r.task_count, r.task, toy_payload(i));
+    ckpt.save(path);
+    const std::string now = read_file(path);
+    EXPECT_GT(now.size(), previous.size());
+    EXPECT_EQ(now.compare(0, previous.size(), previous), 0)
+        << "save " << i << " rewrote bytes an earlier save had written";
+    previous = now;
+    sizes.push_back(now.size());
+  }
+  return sizes;
+}
+
+/// The loaded checkpoint holds exactly records [0, n) of `records`, each
+/// byte-identical to what was put.
+void expect_exactly_first(const Checkpoint& loaded,
+                          const std::vector<ToyRecord>& records,
+                          std::size_t n) {
+  EXPECT_EQ(loaded.record_count(), n);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const ToyRecord& r = records[i];
+    const std::vector<std::uint8_t>* got =
+        loaded.find(r.stage, r.task_count, r.task);
+    if (i < n) {
+      ASSERT_NE(got, nullptr) << "record " << i << " lost";
+      EXPECT_EQ(*got, toy_payload(i)) << "record " << i;
+    } else {
+      EXPECT_EQ(got, nullptr) << "record " << i << " should be gone";
+    }
+  }
+}
+
+TEST(CheckpointTest, SavesAppendSoEachFileIsAPrefixOfTheNext) {
+  const std::string path = temp_path("append.bin");
+  const std::vector<ToyRecord> records = toy_records();
+  (void)save_growing(path, records);
+  expect_exactly_first(Checkpoint::load(path), records, records.size());
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, NeverAppendsToAFileItDidNotLeave) {
+  const std::string path = temp_path("foreign.bin");
+  Checkpoint ckpt("toy", "fp");
+  ckpt.put("s", 4, 0, {1, 2, 3});
+  ckpt.save(path);
+
+  // Another writer replaces the file: the next save must rewrite the whole
+  // log rather than append to bytes it never wrote.
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << "stranger";
+  ckpt.put("s", 4, 1, {4, 5});
+  ckpt.save(path);
+  Checkpoint loaded = Checkpoint::load(path);
+  EXPECT_EQ(loaded.record_count(), 2u);
+
+  // A loaded checkpoint's first save rewrites too (it compacts a torn
+  // tail); afterwards saves append again.
+  const std::string before = read_file(path);
+  std::ofstream(path, std::ios::binary | std::ios::app) << "torn";
+  Checkpoint reloaded = Checkpoint::load(path);
+  reloaded.put("s", 4, 2, {6});
+  reloaded.save(path);
+  const std::string compacted = read_file(path);
+  EXPECT_EQ(compacted.find("torn"), std::string::npos);
+  EXPECT_EQ(compacted.compare(0, before.size(), before), 0);
+  reloaded.put("s", 4, 3, {7});
+  reloaded.save(path);
+  const std::string appended = read_file(path);
+  EXPECT_EQ(appended.compare(0, compacted.size(), compacted), 0);
+  EXPECT_EQ(Checkpoint::load(path).record_count(), 4u);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, TornTailAtEveryOffsetLoadsExactlyTheEarlierRecords) {
+  const std::string path = temp_path("torn.bin");
+  const std::vector<ToyRecord> records = toy_records();
+  const std::vector<std::size_t> sizes = save_growing(path, records);
+  const std::string full = read_file(path);
+  const std::size_t last_start = sizes[sizes.size() - 2];
+  ASSERT_LT(last_start, full.size());
+
+  ::testing::internal::CaptureStderr();
+  for (std::size_t cut = last_start; cut < full.size(); ++cut) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        << full.substr(0, cut);
+    SCOPED_TRACE("truncated to " + std::to_string(cut) + " bytes");
+    expect_exactly_first(Checkpoint::load(path), records,
+                         records.size() - 1);
+  }
+  const std::string notes = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(notes.find("dropping torn record"), std::string::npos) << notes;
+  std::remove(path.c_str());
+}
+
+/// Allowed outcomes of loading damaged bytes: a CheckpointError, or a
+/// subset of the original records, each byte-identical to the original.
+/// Returns false on the error outcome.
+bool expect_reject_or_subset(const std::string& bytes,
+                             const std::string& path,
+                             const std::vector<ToyRecord>& records) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+  std::optional<Checkpoint> loaded;
+  try {
+    loaded = Checkpoint::load(path);
+  } catch (const CheckpointError&) {
+    return false;
+  }
+  EXPECT_EQ(loaded->experiment(), "toy");
+  EXPECT_EQ(loaded->fingerprint(), "fp-growing");
+  std::size_t matched = 0;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const ToyRecord& r = records[i];
+    const std::vector<std::uint8_t>* got =
+        loaded->find(r.stage, r.task_count, r.task);
+    if (got == nullptr) continue;
+    EXPECT_EQ(*got, toy_payload(i)) << "record " << i << " altered";
+    ++matched;
+  }
+  // Nothing beyond the originals: no record under a foreign stage or task.
+  EXPECT_EQ(loaded->record_count(), matched);
+  return true;
+}
+
+/// Byte ranges [begin, end) of every varint length or index field of the
+/// log `bytes`, found by walking its known layout.
+std::vector<std::pair<std::size_t, std::size_t>> varint_fields(
+    const std::string& bytes) {
+  const auto* data = reinterpret_cast<const std::uint8_t*>(bytes.data());
+  ByteReader reader(data, bytes.size());
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  const auto offset = [&] { return bytes.size() - reader.remaining(); };
+  const auto field = [&] {
+    const std::size_t begin = offset();
+    const std::uint64_t v = reader.varint();
+    out.emplace_back(begin, offset());
+    return v;
+  };
+  (void)reader.bytes(10);  // magic + version
+  (void)reader.bytes(field());  // experiment
+  (void)reader.bytes(field());  // fingerprint
+  (void)reader.fixed64();
+  while (reader.remaining() > 0) {
+    (void)reader.bytes(field());  // stage
+    (void)field();                // task_count
+    (void)field();                // task
+    (void)reader.bytes(field());  // payload
+    (void)reader.fixed64();
+  }
+  return out;
+}
+
+std::string encode_varint(std::uint64_t v) {
+  ByteWriter w;
+  w.put_varint(v);
+  return {reinterpret_cast<const char*>(w.bytes().data()), w.bytes().size()};
+}
+
+TEST(CheckpointTest, HostileBytesAreRejectedOrLoadAnOriginalSubset) {
+  // Deterministic mutation property test over a real multi-record log:
+  // seeded bit flips, every truncation length and inflated length/index
+  // varints.  Load may only throw CheckpointError or return a subset of the
+  // original records; it must never crash (the sanitizer build runs this).
+  const std::string source = temp_path("hostile_source.bin");
+  const std::string path = temp_path("hostile.bin");
+  const std::vector<ToyRecord> records = toy_records();
+  (void)save_growing(source, records);
+  const std::string log = read_file(source);
+  ASSERT_TRUE(expect_reject_or_subset(log, path, records));
+
+  ::testing::internal::CaptureStderr();
+  std::size_t rejected = 0;
+  std::size_t trials = 0;
+  for (std::size_t cut = 0; cut <= log.size(); ++cut, ++trials) {
+    if (!expect_reject_or_subset(log.substr(0, cut), path, records)) {
+      ++rejected;
+    }
+  }
+
+  std::uint64_t rng = 0x9E3779B97F4A7C15ULL;
+  const auto next = [&rng] {
+    rng ^= rng >> 12;
+    rng ^= rng << 25;
+    rng ^= rng >> 27;
+    return rng * 0x2545F4914F6CDD1DULL;
+  };
+  for (int trial = 0; trial < 1500; ++trial, ++trials) {
+    std::string mutated = log;
+    const int flips = 1 + static_cast<int>(next() % 3);
+    for (int f = 0; f < flips; ++f) {
+      const std::uint64_t bit = next() % (mutated.size() * 8);
+      mutated[bit / 8] = static_cast<char>(mutated[bit / 8] ^ (1 << (bit % 8)));
+    }
+    if (!expect_reject_or_subset(mutated, path, records)) ++rejected;
+  }
+
+  const auto fields = varint_fields(log);
+  ASSERT_GT(fields.size(), 4 * records.size());
+  for (const auto& [begin, end] : fields) {
+    const std::uint64_t original =
+        ByteReader(reinterpret_cast<const std::uint8_t*>(log.data()) + begin,
+                   end - begin)
+            .varint();
+    for (const std::uint64_t inflated :
+         {original + 1, original * 1000 + 7, std::uint64_t{1} << 40,
+          ~std::uint64_t{0}}) {
+      const std::string mutated = log.substr(0, begin) +
+                                  encode_varint(inflated) + log.substr(end);
+      if (!expect_reject_or_subset(mutated, path, records)) ++rejected;
+      ++trials;
+    }
+  }
+  (void)::testing::internal::GetCapturedStderr();
+  // Header damage must have been rejected somewhere; most damage costs
+  // records rather than the whole file.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_LT(rejected, trials);
+  std::remove(source.c_str());
+  std::remove(path.c_str());
+}
+
 // --- FtSession orchestration (toy stage functions) ---------------------------
 
 const TaskCodec<std::uint64_t>& u64_codec() {
@@ -630,6 +938,44 @@ TEST(ResumeBitIdentityTest, PwcetMatrixMatchesGoldenFixtureAfterInterrupt) {
   const std::string expected =
       read_fixture("tests/golden/pwcet_matrix_s240_ss80.json");
   check_interrupt_resume("pwcet_matrix", 240, 80, 11, expected);
+}
+
+TEST(ResumeBitIdentityTest, AttackMatrixResumesToGoldenAfterTornTail) {
+  // A crash mid-append: interrupt after 7 shards, then tear the last
+  // record off the checkpoint.  Resume drops the torn record, re-runs its
+  // shard, compacts the log and still lands on the golden bytes.
+  const std::string expected =
+      read_fixture("tests/golden/attack_matrix_s1200_ss400.json");
+  const std::string path = temp_path("attack_matrix_torn.bin");
+  std::remove(path.c_str());
+  clear_interrupt();
+  FtOptions interrupted;
+  interrupted.checkpoint_path = path;
+  interrupted.checkpoint_every = 1;
+  interrupted.stop_after = 7;
+  EXPECT_THROW((void)run_ft_json("attack_matrix", 1200, 400, /*workers=*/2,
+                                 interrupted),
+               Interrupted);
+  const std::size_t saved = Checkpoint::load(path).record_count();
+  ASSERT_GE(saved, 7u);
+  const std::string full = read_file(path);
+  ASSERT_GT(full.size(), 300u);
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      << full.substr(0, full.size() - 300);
+  EXPECT_EQ(Checkpoint::load(path).record_count(), saved - 1);
+
+  clear_interrupt();
+  FtOptions resume;
+  resume.checkpoint_path = path;
+  resume.resume = true;
+  EXPECT_EQ(run_ft_json("attack_matrix", 1200, 400, /*workers=*/3, resume),
+            expected);
+  // The resumed run rewrote the log whole: every shard, no torn tail.
+  ::testing::internal::CaptureStderr();
+  const Checkpoint compacted = Checkpoint::load(path);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+  EXPECT_GT(compacted.record_count(), saved);
+  std::remove(path.c_str());
 }
 
 // Self-referential sweep at smoke scale: for a spread of interruption

@@ -305,6 +305,22 @@ TEST(CliContractTest, FinishLineReportsResolvedWorkerCount) {
       << r.err;
 }
 
+TEST(CliContractTest, VersionOneCheckpointExitsOneNamingTheVersion) {
+  // A checkpoint from the pre-log format: the "TSCKPT" magic, then the
+  // version as a little-endian u32 at byte offset 6.
+  const std::string ckpt = temp_path("v1.ckpt");
+  std::ofstream(ckpt, std::ios::binary | std::ios::trunc)
+      << std::string("TSCKPT\x01\x00\x00\x00\x04fig5", 15);
+  const CliResult r = run_tsc(std::string("--experiment fig5 --samples 3000 "
+                                          "--shard-size 1000 --json "
+                                          "--checkpoint ") +
+                              ckpt + " --resume");
+  EXPECT_EQ(r.exit_code, 1) << r.err;
+  EXPECT_NE(r.err.find("format version 1;"), std::string::npos) << r.err;
+  EXPECT_TRUE(r.out.empty()) << r.out;
+  (void)std::remove(ckpt.c_str());
+}
+
 TEST(CliContractTest, HelpDocumentsDispatchModeAndExitsZero) {
   const CliResult r = run_tsc("--help");
   EXPECT_EQ(r.exit_code, 0);
@@ -387,6 +403,26 @@ TEST(DispatchIdentityTest, InterruptedDispatchResumesToGoldenBytes) {
                 "fig5 dispatch resume");
   EXPECT_NE(resumed.err.find("resuming"), std::string::npos) << resumed.err;
   (void)std::remove(ckpt.c_str());
+}
+
+TEST(DispatchIdentityTest, SingleStageWorkersAreShutDownNotSentPayloads) {
+  // StageDone goes only to workers that continue into another stage.  A
+  // single-stage campaign's workers stay parked on it until the supervisor
+  // orders Shutdown - they never receive, decode or merge the payloads.
+  const std::string args =
+      "--experiment flush_matrix --samples 100 --shard-size 50 --json";
+  const CliResult in_process = run_tsc(args);
+  ASSERT_EQ(in_process.exit_code, 0) << in_process.err;
+  const CliResult r = run_tsc(args + " --dispatch 2");
+  EXPECT_EQ(r.exit_code, 0) << r.err;
+  EXPECT_EQ(r.out, in_process.out) << "dispatch diverged from in-process";
+  for (const std::string worker : {"0", "1"}) {
+    EXPECT_NE(
+        r.err.find("worker " + worker + ": supervisor ordered shutdown"),
+        std::string::npos)
+        << "worker " << worker << " was not ended by Shutdown:\n"
+        << r.err;
+  }
 }
 
 // The two heavier campaigns exercise the same machinery against richer
