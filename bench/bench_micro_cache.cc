@@ -114,13 +114,8 @@ BENCHMARK(BM_MachineRunBatch);
 // data traffic simulated through the hierarchy.  This is the per-run cost
 // of the MBPTA protocols (fig1 / sec622 / pwcet_matrix), so its throughput
 // bounds how many runs a campaign can collect.
-void BM_Interpreter(benchmark::State& state, const std::string& source) {
-  auto config = sim::arm920t_config(cache::MapperKind::kRandomModulo,
-                                    cache::MapperKind::kHashRp,
-                                    cache::ReplacementKind::kRandom);
-  sim::Machine machine(config, std::make_shared<rng::XorShift64Star>(7));
-  machine.hierarchy().set_seed(ProcId{1}, Seed{2018});
-  machine.set_process(ProcId{1});
+void run_interpreter(benchmark::State& state, sim::Machine& machine,
+                     const std::string& source) {
   isa::Interpreter interp(machine);
   interp.load_program(isa::assemble(source, 0x1000));
   std::int64_t steps = 0;
@@ -131,10 +126,37 @@ void BM_Interpreter(benchmark::State& state, const std::string& source) {
   }
   state.SetItemsProcessed(steps);
 }
+
+void BM_Interpreter(benchmark::State& state, const std::string& source) {
+  auto config = sim::arm920t_config(cache::MapperKind::kRandomModulo,
+                                    cache::MapperKind::kHashRp,
+                                    cache::ReplacementKind::kRandom);
+  sim::Machine machine(config, std::make_shared<rng::XorShift64Star>(7));
+  machine.hierarchy().set_seed(ProcId{1}, Seed{2018});
+  machine.set_process(ProcId{1});
+  run_interpreter(state, machine, source);
+}
 BENCHMARK_CAPTURE(BM_Interpreter, vecsum,
                   tsc::isa::vector_sum_source(0x40000, 5120));
 BENCHMARK_CAPTURE(BM_Interpreter, matmul,
                   tsc::isa::matmul_source(0x40000, 0x50000, 0x60000, 24));
+
+// The same kernel on the two platforms where the interpreter's same-line
+// fetch shortcut behaves differently: ClepsydraCache (a TTL L1I, so every
+// fetch probes) and TimeCache (quantized hits, so each repeat charges the
+// quantum).
+void BM_Interpreter(benchmark::State& state, const std::string& source,
+                    core::PlacementPolicy policy) {
+  const auto machine = core::build_policy_machine(policy, 7, false);
+  machine->set_process(core::kMatrixVictim);
+  run_interpreter(state, *machine, source);
+}
+BENCHMARK_CAPTURE(BM_Interpreter, vecsum_clepsydra,
+                  tsc::isa::vector_sum_source(0x40000, 5120),
+                  core::PlacementPolicy::kClepsydra);
+BENCHMARK_CAPTURE(BM_Interpreter, vecsum_timecache,
+                  tsc::isa::vector_sum_source(0x40000, 5120),
+                  core::PlacementPolicy::kTimeCache);
 
 // What one MBPTA run pays before any instruction executes.  Fresh: build a
 // policy machine from scratch (the pre-pool protocol).  Reset: re-deploy a

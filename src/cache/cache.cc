@@ -650,29 +650,6 @@ Cache::FlushLineResult Cache::flush_line(ProcId proc, Addr addr) {
   return result;
 }
 
-bool Cache::try_repeat_hit(ProcId proc, Addr addr, std::uint64_t count) {
-  // A TTL cache cannot batch: each of the `count` accesses must tick the
-  // expiry clock (and could itself expire lines).  Decline; the caller's
-  // per-access replay is exact.
-  if (ttl_enabled_) return false;
-  const Addr line = addr >> line_shift_;
-  const std::uint32_t set = map_set(context(proc), line);
-  const std::uint32_t ways = config_.geometry.ways();
-  const std::uint64_t probe = (line << 1) | 1;
-  const std::uint64_t* tv = tagv_.data() + static_cast<std::size_t>(set) * ways;
-  for (std::uint32_t w = 0; w < ways; ++w) {
-    if (tv[w] == probe) {
-      stats_.accesses += count;
-      stats_.hits += count;
-      // One touch == `count` touches of the same way: LRU/PLRU reordering
-      // and the NMRU marker are idempotent, FIFO/random ignore hits.
-      replacement_->touch(set, w);
-      return true;
-    }
-  }
-  return false;
-}
-
 void Cache::reset() {
   std::fill(tagv_.begin(), tagv_.end(), std::uint64_t{0});
   std::fill(owner_.begin(), owner_.end(), 0u);

@@ -77,6 +77,7 @@ struct CacheStats {
                          : static_cast<double>(misses) /
                                static_cast<double>(accesses);
   }
+  bool operator==(const CacheStats&) const = default;
 };
 
 /// Configuration of one cache level.
@@ -157,18 +158,23 @@ class Cache {
   /// oracle mirrors this exactly).
   FlushLineResult flush_line(ProcId proc, Addr addr);
 
-  /// `count` back-to-back repeated accesses (reads) of the line containing
-  /// `addr`, all guaranteed hits because nothing intervenes between them:
-  /// if the line is resident, account `count` accesses + hits and touch the
-  /// replacement state exactly as `count` individual read hits of the same
-  /// way would (touching the same way is idempotent for every shipped
-  /// policy), then return true.  Returns false - and changes nothing - when
-  /// the line is not resident (e.g. the secure-contention rule or random
-  /// fill declined to allocate it), and always on a TTL cache (every access
-  /// must advance the expiry clock); the caller falls back to access().
-  /// This is the Machine::instr_block fast path: sequential instruction
-  /// fetches within one cache line skip the full lookup after the first.
-  bool try_repeat_hit(ProcId proc, Addr addr, std::uint64_t count);
+  /// Account `count` read hits on the line the previous access of this
+  /// cache left resident, without probing: the caller guarantees nothing
+  /// reached this cache in between and that it has no TTL (ttl_enabled();
+  /// every TTL access must tick the expiry clock).  Only the counters
+  /// move.  The replacement touch is skipped because it would change
+  /// nothing: the previous access was a hit (which touched the same way)
+  /// or a fill (whose update leaves the way where a touch puts it), and
+  /// hits draw no random numbers.  This is the fetch-repeat path of
+  /// sim::Machine: straight-line code fetches several instructions per
+  /// line.
+  void repeat_hits(std::uint64_t count) {
+    stats_.accesses += count;
+    stats_.hits += count;
+  }
+
+  /// ClepsydraCache TTLs on (config().ttl_max > 0).
+  [[nodiscard]] bool ttl_enabled() const { return ttl_enabled_; }
 
   /// Return to the just-constructed state - no valid lines, default-seed
   /// mappings, initial replacement metadata, zero stats, zero TTL clock,

@@ -5,15 +5,22 @@
 
 namespace tsc::isa {
 
+const SparseMemory::Page SparseMemory::kZeroPage{};
+
 const std::uint32_t* SparseMemory::word_of_slow(Addr a) const {
   const Addr page_no = a / kPageBytes;
   const auto it = pages_.find(page_no);
-  if (it == pages_.end()) return nullptr;
-  // Install the direct-mapped slot so the next access to this page is one
-  // tag compare (observationally pure: the page contents do not change).
+  // Install the direct-mapped slot so the next read of this page is one tag
+  // compare (observationally pure: no page is created or changed).  A page
+  // never written reads through the shared zero page, read-only.
   Slot& slot = slots_[page_no % kSlots];
-  slot.tag = page_no + 1;
-  slot.words = it->second->data();
+  if (it == pages_.end()) {
+    slot.tag = read_tag(page_no);
+    slot.words = kZeroPage.data();
+  } else {
+    slot.tag = write_tag(page_no);
+    slot.words = it->second->data();
+  }
   return slot.words + (a % kPageBytes) / 4;
 }
 
@@ -21,17 +28,15 @@ std::uint32_t& SparseMemory::word_for_slow(Addr a) {
   const Addr page_no = a / kPageBytes;
   std::unique_ptr<Page>& page = pages_[page_no];
   if (page == nullptr) page = std::make_unique<Page>();
+  // Replaces whatever the slot held, a zero-page alias of this page too.
   Slot& slot = slots_[page_no % kSlots];
-  slot.tag = page_no + 1;
+  slot.tag = write_tag(page_no);
   slot.words = page->data();
-  return slot.words[(a % kPageBytes) / 4];
+  return page->data()[(a % kPageBytes) / 4];
 }
 
 std::uint8_t SparseMemory::load8(Addr a) const {
-  const std::uint32_t* w = word_of(a & ~Addr{3});
-  return w == nullptr
-             ? 0
-             : static_cast<std::uint8_t>(*w >> (8 * (a & 3)));
+  return static_cast<std::uint8_t>(*word_of(a & ~Addr{3}) >> (8 * (a & 3)));
 }
 
 void SparseMemory::store8(Addr a, std::uint8_t v) {
@@ -56,7 +61,8 @@ void SparseMemory::store32_unaligned(Addr a, std::uint32_t v) {
 
 void SparseMemory::clear() {
   for (auto& [page_no, page] : pages_) page->fill(0);
-  // Slots stay valid: they alias the same (now zeroed) pages.
+  // Slots stay valid: they alias the same (now zeroed) pages, or the zero
+  // page for pages that still do not exist.
 }
 
 void Interpreter::load_program(const Program& program) {
@@ -117,6 +123,16 @@ RunResult Interpreter::run_loop(Addr entry, std::uint64_t max_steps) {
   const Cycles start_cycles = machine_.now();
   RunResult result;
   Addr pc = entry;
+  // Fast path only: the L1I line the previous fetch left resident.  Inside
+  // one run() nothing else reaches the L1I - loads and stores use the L1D,
+  // L1I misses fill the L2 and the L2 never back-invalidates - so the next
+  // fetch in that line is a guaranteed hit, charged by fetch_repeat().  A
+  // flush forgets it, and it starts empty on every call.  kNoLine is no
+  // line number: pc >> offset_bits() stays below it for lines >= 2 bytes.
+  constexpr Addr kNoLine = ~Addr{0};
+  [[maybe_unused]] const unsigned line_shift =
+      machine_.hierarchy().l1i().geometry().offset_bits();
+  [[maybe_unused]] Addr resident_line = kNoLine;
 
   while (result.steps < max_steps) {
     Instr in;
@@ -161,50 +177,58 @@ RunResult Interpreter::run_loop(Addr entry, std::uint64_t max_steps) {
       }
     }
 
+    if constexpr (kUseDecodeCache) {
+      const Addr line = pc >> line_shift;
+      if (line == resident_line) [[likely]] {
+        machine_.fetch_repeat();
+      } else {
+        resident_line = machine_.fetch(pc) ? line : kNoLine;
+      }
+    } else {
+      machine_.fetch(pc);  // the oracle probes on every fetch
+    }
+
     switch (in.op) {
-      case Op::kAdd: machine_.instr(pc); set_reg(in.rd, a + b); break;
-      case Op::kSub: machine_.instr(pc); set_reg(in.rd, a - b); break;
-      case Op::kAnd: machine_.instr(pc); set_reg(in.rd, a & b); break;
-      case Op::kOr:  machine_.instr(pc); set_reg(in.rd, a | b); break;
-      case Op::kXor: machine_.instr(pc); set_reg(in.rd, a ^ b); break;
-      case Op::kSll: machine_.instr(pc); set_reg(in.rd, a << (b & 31)); break;
-      case Op::kSrl: machine_.instr(pc); set_reg(in.rd, a >> (b & 31)); break;
+      case Op::kAdd: set_reg(in.rd, a + b); break;
+      case Op::kSub: set_reg(in.rd, a - b); break;
+      case Op::kAnd: set_reg(in.rd, a & b); break;
+      case Op::kOr:  set_reg(in.rd, a | b); break;
+      case Op::kXor: set_reg(in.rd, a ^ b); break;
+      case Op::kSll: set_reg(in.rd, a << (b & 31)); break;
+      case Op::kSrl: set_reg(in.rd, a >> (b & 31)); break;
       case Op::kSra:
-        machine_.instr(pc);
         set_reg(in.rd, static_cast<std::uint32_t>(
                            static_cast<std::int32_t>(a) >> (b & 31)));
         break;
       case Op::kSlt:
-        machine_.instr(pc);
         set_reg(in.rd, static_cast<std::int32_t>(a) <
                                static_cast<std::int32_t>(b)
                            ? 1
                            : 0);
         break;
-      case Op::kSltu: machine_.instr(pc); set_reg(in.rd, a < b ? 1 : 0); break;
-      case Op::kMul:  machine_.instr(pc); set_reg(in.rd, a * b); break;
+      case Op::kSltu: set_reg(in.rd, a < b ? 1 : 0); break;
+      case Op::kMul:  set_reg(in.rd, a * b); break;
 
-      case Op::kAddi: machine_.instr(pc); set_reg(in.rd, a + imm); break;
-      case Op::kAndi: machine_.instr(pc); set_reg(in.rd, a & imm); break;
-      case Op::kOri:  machine_.instr(pc); set_reg(in.rd, a | imm); break;
-      case Op::kXori: machine_.instr(pc); set_reg(in.rd, a ^ imm); break;
-      case Op::kSlli: machine_.instr(pc); set_reg(in.rd, a << (imm & 31)); break;
-      case Op::kSrli: machine_.instr(pc); set_reg(in.rd, a >> (imm & 31)); break;
+      case Op::kAddi: set_reg(in.rd, a + imm); break;
+      case Op::kAndi: set_reg(in.rd, a & imm); break;
+      case Op::kOri:  set_reg(in.rd, a | imm); break;
+      case Op::kXori: set_reg(in.rd, a ^ imm); break;
+      case Op::kSlli: set_reg(in.rd, a << (imm & 31)); break;
+      case Op::kSrli: set_reg(in.rd, a >> (imm & 31)); break;
       case Op::kSlti:
-        machine_.instr(pc);
         set_reg(in.rd, static_cast<std::int32_t>(a) < in.imm ? 1 : 0);
         break;
-      case Op::kLui: machine_.instr(pc); set_reg(in.rd, imm << 16); break;
+      case Op::kLui: set_reg(in.rd, imm << 16); break;
 
       case Op::kLw: {
         const Addr ea = a + imm;
-        machine_.load(pc, ea);
+        machine_.load_data(ea);
         set_reg(in.rd, memory_.load32(ea));
         break;
       }
       case Op::kLb: {
         const Addr ea = a + imm;
-        machine_.load(pc, ea);
+        machine_.load_data(ea);
         set_reg(in.rd, static_cast<std::uint32_t>(
                            static_cast<std::int32_t>(
                                static_cast<std::int8_t>(memory_.load8(ea)))));
@@ -212,19 +236,19 @@ RunResult Interpreter::run_loop(Addr entry, std::uint64_t max_steps) {
       }
       case Op::kLbu: {
         const Addr ea = a + imm;
-        machine_.load(pc, ea);
+        machine_.load_data(ea);
         set_reg(in.rd, memory_.load8(ea));
         break;
       }
       case Op::kSw: {
         const Addr ea = a + imm;
-        machine_.store(pc, ea);
+        machine_.store_data(ea);
         store32_sync(ea, regs_[in.rd]);
         break;
       }
       case Op::kSb: {
         const Addr ea = a + imm;
-        machine_.store(pc, ea);
+        machine_.store_data(ea);
         store8_sync(ea, static_cast<std::uint8_t>(regs_[in.rd]));
         break;
       }
@@ -250,7 +274,7 @@ RunResult Interpreter::run_loop(Addr entry, std::uint64_t max_steps) {
           case Op::kBgeu: taken = a >= b; break;
           default: break;
         }
-        machine_.branch(pc, taken);
+        machine_.resolve_branch(taken);
         if (taken) {
           next_pc = pc + 4 + 4 * static_cast<Addr>(
                                      static_cast<std::int64_t>(in.imm));
@@ -258,13 +282,13 @@ RunResult Interpreter::run_loop(Addr entry, std::uint64_t max_steps) {
         break;
       }
       case Op::kJal:
-        machine_.branch(pc, true);
+        machine_.resolve_branch(true);
         set_reg(in.rd, static_cast<std::uint32_t>(pc + 4));
         next_pc =
             pc + 4 + 4 * static_cast<Addr>(static_cast<std::int64_t>(in.imm));
         break;
       case Op::kJalr: {
-        machine_.branch(pc, true);
+        machine_.resolve_branch(true);
         const Addr target = a;  // read rs1 before rd overwrites it
         set_reg(in.rd, static_cast<std::uint32_t>(pc + 4));
         next_pc = target;
@@ -272,17 +296,17 @@ RunResult Interpreter::run_loop(Addr entry, std::uint64_t max_steps) {
       }
 
       case Op::kHalt:
-        machine_.instr(pc);
         done = true;
         break;
       case Op::kNop:
-        machine_.instr(pc);
         break;
       case Op::kFlush:
         // Flush the line containing the address in rs1 from every cache
         // level; functionally a no-op (no register or memory effect), but
         // the machine pays the present/absent-dependent flush latency.
-        machine_.flush_line(pc, a);
+        // It may invalidate the remembered code line: fetch in full next.
+        machine_.flush_target(a);
+        resident_line = kNoLine;
         break;
     }
 

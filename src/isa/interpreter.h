@@ -13,10 +13,20 @@
 //    PCs outside the image (or unaligned ones).  Stores and pokes that
 //    land inside the image re-decode the overwritten words, so
 //    self-modifying code behaves exactly like the memory-decode path;
+//  * instruction fetches go through the L1I one by one, but a fetch in the
+//    line the previous fetch left resident skips the probe: inside one
+//    run() nothing else reaches the L1I, so it is a guaranteed hit and
+//    sim::Machine::fetch_repeat() charges exactly that (instruction, L1I
+//    access and hit, issue cycle plus the quantized hit stall).  A flush
+//    forgets the line, each run() starts without one, a TTL L1I never
+//    reports one, and a miss counts only when the fill installed the line.
+//    run_reference() probes on every fetch and stays the oracle;
 //  * data memory is word-granular: 4KB pages of 32-bit words reached
 //    through a direct-mapped page-pointer table (one tag compare per
-//    aligned word access, the hash map only on slot misses).  Unaligned
-//    and cross-page accesses take the byte path, which is bit-compatible;
+//    aligned word access, the hash map only on slot misses).  Reads of a
+//    never-written page alias one shared read-only zero page in the slot,
+//    so unpoked arrays stay one compare too.  Unaligned and cross-page
+//    accesses take the byte path, which is bit-compatible;
 //  * reset() returns registers, memory and the decode cache to a fresh
 //    state while keeping every allocation, so pooled per-run machines
 //    (runner::MachinePool) stop paying construction per MBPTA run.
@@ -44,10 +54,7 @@ class SparseMemory {
   /// single direct-mapped table probe; unaligned ones assemble bytes (and
   /// may cross pages).
   [[nodiscard]] std::uint32_t load32(Addr a) const {
-    if ((a & 3u) == 0) [[likely]] {
-      const std::uint32_t* w = word_of(a);
-      return w == nullptr ? 0 : *w;
-    }
+    if ((a & 3u) == 0) [[likely]] return *word_of(a);
     return load32_unaligned(a);
   }
   void store32(Addr a, std::uint32_t v) {
@@ -69,20 +76,30 @@ class SparseMemory {
   static constexpr std::size_t kSlots = 256;  ///< direct-mapped page table
   using Page = std::array<std::uint32_t, kPageWords>;
 
-  /// One entry of the direct-mapped page-pointer table.  `tag` is the page
-  /// number + 1 so the zero-initialized table is empty; `words` aliases the
-  /// page owned by `pages_` (stable: pages are unique_ptr-held).
+  /// One entry of the direct-mapped page-pointer table.  `tag` is
+  /// 2 * (page number + 1) plus a writable bit, so the zero-initialized
+  /// table is empty.  A writable slot aliases the page owned by `pages_`
+  /// (stable: pages are unique_ptr-held); a read-only one aliases
+  /// kZeroPage for a page that was never written.  Reads accept either
+  /// kind, writes only the writable kind, so nothing writes through the
+  /// shared zero page.
   struct Slot {
     Addr tag = 0;
-    std::uint32_t* words = nullptr;
+    const std::uint32_t* words = nullptr;
   };
+  [[nodiscard]] static Addr read_tag(Addr page_no) { return 2 * (page_no + 1); }
+  [[nodiscard]] static Addr write_tag(Addr page_no) {
+    return read_tag(page_no) | 1;
+  }
 
-  /// Word pointer for an aligned address, nullptr when the page does not
-  /// exist (reads as zero).  Slot installs are observationally pure.
+  static const Page kZeroPage;
+
+  /// Word pointer for an aligned address; a page that does not exist reads
+  /// through the zero page.  Slot installs are observationally pure.
   [[nodiscard]] const std::uint32_t* word_of(Addr a) const {
     const Addr page_no = a / kPageBytes;
     const Slot& slot = slots_[page_no % kSlots];
-    if (slot.tag == page_no + 1) [[likely]] {
+    if ((slot.tag & ~Addr{1}) == read_tag(page_no)) [[likely]] {
       return slot.words + (a % kPageBytes) / 4;
     }
     return word_of_slow(a);
@@ -91,8 +108,9 @@ class SparseMemory {
   [[nodiscard]] std::uint32_t& word_for(Addr a) {
     const Addr page_no = a / kPageBytes;
     const Slot& slot = slots_[page_no % kSlots];
-    if (slot.tag == page_no + 1) [[likely]] {
-      return slot.words[(a % kPageBytes) / 4];
+    if (slot.tag == write_tag(page_no)) [[likely]] {
+      // Writable slots alias pages_ storage, which is not const.
+      return const_cast<std::uint32_t*>(slot.words)[(a % kPageBytes) / 4];
     }
     return word_for_slow(a);
   }

@@ -29,6 +29,11 @@ struct HierarchyResult {
   Cycles latency = 0;
   bool l1_hit = false;
   bool l2_hit = false;  ///< only meaningful when !l1_hit and an L2 exists
+  /// The line is resident in the L1 after the access: a hit, or a miss
+  /// that installed it.  False when the fill declined to allocate (RPCache
+  /// secure contention, random fill, write-around) - conservatively so
+  /// even if a random fill happened to bring in the demanded line itself.
+  bool l1_resident = false;
 };
 
 /// Configuration: cache specs per level.  `l2` may be disabled for
@@ -62,6 +67,7 @@ class Hierarchy {
     const cache::AccessResult r1 = l1.access(proc, addr, write);
     result.latency = lat.l1_hit;
     result.l1_hit = r1.hit;
+    result.l1_resident = r1.allocated;  // hits report allocated too
     if (!r1.hit) {
       bool served = false;
       if (l2_ != nullptr) {
@@ -72,25 +78,8 @@ class Hierarchy {
       }
       if (!served) result.latency += lat.memory;
     }
-    if (lat.quantum > 0) [[unlikely]] {
-      result.latency =
-          (result.latency + lat.quantum - 1) / lat.quantum * lat.quantum;
-    }
+    result.latency = lat.quantize(result.latency);
     return result;
-  }
-
-  /// `count` repeated instruction fetches of `pc`, back to back: when the
-  /// line is resident in the L1I, account them as the guaranteed L1 hits
-  /// they are (Cache::try_repeat_hit) and return true; otherwise change
-  /// nothing and return false so the caller replays per instruction.  Each
-  /// batched fetch costs exactly `latency().l1_hit`, the same as access()
-  /// would report; the Machine adds the cycles.  Declined under latency
-  /// quantization (a quantized L1I hit costs `quantum`, not l1_hit) and by
-  /// TTL caches (every access must advance the expiry clock) - the caller's
-  /// per-instruction replay stays exact in both cases.
-  bool repeat_instr_hits(ProcId proc, Addr pc, std::uint64_t count) {
-    if (config_.latency.quantum > 0) return false;
-    return l1i_->try_repeat_hit(proc, pc, count);
   }
 
   /// Reset all levels to their just-constructed state (lines, replacement
@@ -138,10 +127,7 @@ class Hierarchy {
         result.latency += lat.flush_writeback;
       }
     }
-    if (lat.quantum > 0) [[unlikely]] {
-      result.latency =
-          (result.latency + lat.quantum - 1) / lat.quantum * lat.quantum;
-    }
+    result.latency = lat.quantize(result.latency);
     return result;
   }
 

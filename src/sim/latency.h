@@ -42,6 +42,13 @@ struct LatencyConfig {
   /// default for every other platform; fig5/attack goldens depend on it).
   Cycles quantum = 0;
 
+  /// `latency` as the core sees it: rounded up to the next `quantum`
+  /// multiple when quantization is on, unchanged otherwise.
+  [[nodiscard]] Cycles quantize(Cycles latency) const {
+    if (quantum == 0) [[likely]] return latency;
+    return (latency + quantum - 1) / quantum * quantum;
+  }
+
   /// Paper section 6.2.3: restoring a seed "would only require to wait until
   /// all accesses in flight of the previous process have been served, which
   /// would take tens of cycles" - with these defaults a seed change costs

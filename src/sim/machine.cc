@@ -5,7 +5,10 @@
 namespace tsc::sim {
 
 Machine::Machine(HierarchyConfig config, std::shared_ptr<rng::Rng> rng)
-    : hierarchy_(std::move(config), rng), rng_(std::move(rng)) {}
+    : hierarchy_(std::move(config), rng),
+      rng_(std::move(rng)),
+      repeat_stall_(latency().quantize(latency().l1_hit) - latency().l1_hit),
+      repeat_fetch_ok_(!hierarchy_.l1i().ttl_enabled()) {}
 
 void Machine::reset(std::uint64_t rng_seed) {
   if (rng_ != nullptr) rng_->reseed(rng_seed);

@@ -17,7 +17,13 @@
 //
 // Fetch is modeled per instruction against the real PC, so instruction-cache
 // conflicts (the target of Aciiçmez-style attacks) are simulated, not
-// approximated.
+// approximated.  Each instruction is a fetch (fetch/fetch_repeat) followed
+// by its data or branch side (load_data/store_data/resolve_branch/
+// flush_target); instr/load/store/branch/flush_line compose the two.  A
+// caller that knows the last fetch left its line resident and nothing has
+// reached the L1I since - straight-line code, 8 instructions per 32-byte
+// line - charges the next same-line fetch with fetch_repeat(), the exact
+// cost of the guaranteed hit without the probe.
 //
 // Trace-style workloads can hand the machine a whole batch of pre-decoded
 // AccessRecords via run(): one call replays thousands of accesses with the
@@ -25,6 +31,7 @@
 // overhead in the replay loops that dominate campaign time.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -45,6 +52,8 @@ struct MachineStats {
   std::uint64_t seed_changes = 0;
   std::uint64_t flushes = 0;
   std::uint64_t line_flushes = 0;  ///< per-line flush instructions executed
+
+  bool operator==(const MachineStats&) const = default;
 };
 
 /// One pre-decoded machine operation for batched replay (Machine::run).
@@ -85,82 +94,114 @@ class Machine {
   void set_process(ProcId proc) { proc_ = proc; }
   [[nodiscard]] ProcId process() const { return proc_; }
 
-  /// Non-memory instruction at `pc`.
-  void instr(Addr pc) {
+  /// Fetch the instruction at `pc` through the L1I: 1 issue cycle plus
+  /// any fetch latency beyond an L1I hit.  Returns true when the fetched
+  /// line is now resident and a later fetch of the same line, with no L1I
+  /// traffic in between, may be charged with fetch_repeat() instead.
+  /// Always false on a TTL L1I (every fetch must tick its expiry clock).
+  /// fetch, load_data and store_data are always inlined: instr/load/store
+  /// compose them, and at call sites that exhaust the compiler's inlining
+  /// budget (the unrolled AES rounds) each load would otherwise become two
+  /// calls instead of one.
+  [[gnu::always_inline]] bool fetch(Addr pc) {
     ++stats_.instructions;
     const HierarchyResult f =
         hierarchy_.access(Port::kInstruction, proc_, pc, false);
-    // 1 issue cycle; fetch latency beyond an L1 hit stalls the front-end.
     now_ += 1 + (f.latency - latency().l1_hit);
+    return f.l1_resident && repeat_fetch_ok_;
   }
 
-  /// `n` sequential non-memory instructions starting at `pc`, 4 bytes each.
-  /// Exactly equivalent to n instr() calls, but fetches that share the
-  /// first instruction's cache line are accounted in one batch: nothing
-  /// intervenes between them, so once the line is resident they are
-  /// guaranteed L1I hits (1 cycle each, replacement touch idempotent).
-  /// When the first fetch leaves the line non-resident (secure contention /
-  /// random fill declined to allocate), the rest of the line replays per
-  /// instruction, preserving exact cycle and stat results.
-  void instr_block(Addr pc, unsigned n) {
-    const Addr line_mask = hierarchy_.l1i().geometry().line_bytes() - 1;
-    while (n > 0) {
-      const Addr first = pc;
-      instr(pc);
-      pc += 4;
-      --n;
-      const Addr in_line = (line_mask - (first & line_mask)) >> 2;
-      const unsigned k =
-          n < in_line ? n : static_cast<unsigned>(in_line);
-      if (k == 0) continue;
-      if (hierarchy_.repeat_instr_hits(proc_, first, k)) [[likely]] {
-        stats_.instructions += k;
-        now_ += k;  // k issue cycles, zero stall beyond the L1I hit
-        pc += 4 * static_cast<Addr>(k);
-        n -= k;
-      } else {
-        for (unsigned i = 0; i < k; ++i, pc += 4) instr(pc);
-        n -= k;
-      }
-    }
+  /// `n` fetches that are guaranteed L1I hits on the line the last fetch()
+  /// left resident (it returned true and nothing touched the L1I since):
+  /// exactly what n fetch() calls would charge - n instructions, n L1I
+  /// accesses and hits, 1 issue cycle plus the (quantized) hit stall each -
+  /// without the probe.
+  void fetch_repeat(std::uint64_t n = 1) {
+    stats_.instructions += n;
+    hierarchy_.l1i().repeat_hits(n);
+    now_ += n * (1 + repeat_stall_);
   }
 
-  /// Load instruction at `pc` reading `ea`.
-  void load(Addr pc, Addr ea) {
-    instr(pc);
+  /// The data side of a load reading `ea` (after its fetch).
+  [[gnu::always_inline]] void load_data(Addr ea) {
     ++stats_.loads;
     const HierarchyResult d = hierarchy_.access(Port::kData, proc_, ea, false);
     now_ += d.latency - latency().l1_hit;
   }
 
-  /// Store instruction at `pc` writing `ea`.
-  void store(Addr pc, Addr ea) {
-    instr(pc);
+  /// The data side of a store writing `ea` (after its fetch).
+  [[gnu::always_inline]] void store_data(Addr ea) {
     ++stats_.stores;
     const HierarchyResult d = hierarchy_.access(Port::kData, proc_, ea, true);
     now_ += d.latency - latency().l1_hit;
   }
 
-  /// Per-line flush instruction at `pc` targeting `ea` (TSISA `flush rs`):
-  /// fetch like any instruction, then flush the line from every cache level
-  /// through the CURRENT process's mapping context.  The flush latency
-  /// observably differs for present vs absent lines (Hierarchy::flush_line)
-  /// - the Flush+Flush timing channel.
-  void flush_line(Addr pc, Addr ea) {
-    instr(pc);
-    ++stats_.line_flushes;
-    const Hierarchy::FlushResult r = hierarchy_.flush_line(proc_, ea);
-    now_ += r.latency;
-  }
-
-  /// Branch instruction at `pc`; taken branches pay the resolve bubble.
-  void branch(Addr pc, bool taken) {
-    instr(pc);
+  /// Resolve a branch (after its fetch); taken branches pay the bubble.
+  void resolve_branch(bool taken) {
     ++stats_.branches;
     if (taken) {
       ++stats_.taken_branches;
       now_ += latency().branch_penalty;
     }
+  }
+
+  /// The flush side of a per-line flush instruction (after its fetch):
+  /// flush the line containing `ea` from every cache level through the
+  /// CURRENT process's mapping context.  The flush latency observably
+  /// differs for present vs absent lines (Hierarchy::flush_line) - the
+  /// Flush+Flush timing channel.  A flushed line may be the one the last
+  /// fetch() left resident, so fetch again before any fetch_repeat().
+  void flush_target(Addr ea) {
+    ++stats_.line_flushes;
+    const Hierarchy::FlushResult r = hierarchy_.flush_line(proc_, ea);
+    now_ += r.latency;
+  }
+
+  /// Non-memory instruction at `pc`.
+  void instr(Addr pc) { fetch(pc); }
+
+  /// `n` sequential non-memory instructions starting at `pc`, 4 bytes each.
+  /// Exactly equivalent to n instr() calls: after each full fetch that
+  /// leaves its line resident, the rest of the block inside that line is
+  /// charged with fetch_repeat().
+  void instr_block(Addr pc, unsigned n) {
+    const Addr line_mask = hierarchy_.l1i().geometry().line_bytes() - 1;
+    while (n > 0) {
+      const bool resident = fetch(pc);
+      const Addr rest_of_line = (line_mask - (pc & line_mask)) >> 2;
+      pc += 4;
+      --n;
+      if (!resident) continue;
+      const auto k = static_cast<unsigned>(std::min<Addr>(n, rest_of_line));
+      fetch_repeat(k);
+      pc += 4 * static_cast<Addr>(k);
+      n -= k;
+    }
+  }
+
+  /// Load instruction at `pc` reading `ea`.
+  void load(Addr pc, Addr ea) {
+    fetch(pc);
+    load_data(ea);
+  }
+
+  /// Store instruction at `pc` writing `ea`.
+  void store(Addr pc, Addr ea) {
+    fetch(pc);
+    store_data(ea);
+  }
+
+  /// Per-line flush instruction at `pc` targeting `ea` (TSISA `flush rs`):
+  /// fetch like any instruction, then flush_target(ea).
+  void flush_line(Addr pc, Addr ea) {
+    fetch(pc);
+    flush_target(ea);
+  }
+
+  /// Branch instruction at `pc`; taken branches pay the resolve bubble.
+  void branch(Addr pc, bool taken) {
+    fetch(pc);
+    resolve_branch(taken);
   }
 
   /// Replay a batch of pre-decoded operations under the current process.
@@ -204,6 +245,10 @@ class Machine {
   ProcId proc_{1};
   Cycles now_ = 0;
   MachineStats stats_;
+  /// Stall of a guaranteed L1I hit beyond l1_hit: nonzero only under
+  /// latency quantization.
+  Cycles repeat_stall_;
+  bool repeat_fetch_ok_;  ///< the L1I has no TTL (fetch() may report true)
 };
 
 /// The paper's platform (section 6.1.2) parameterized by cache design:

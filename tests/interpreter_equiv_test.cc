@@ -1,18 +1,23 @@
 // Equivalence tests for the pre-decoded execution engine.
 //
 // Interpreter::run fetches through a PC-indexed decode cache and the flat
-// word-granular memory; Interpreter::run_reference decodes every step from
-// memory - the pre-overhaul path.  The two must agree bit-exactly on every
-// kernel: RunResult (reason, steps, cycles), machine time and event
-// counters, and the per-cache hit/miss statistics.  Also covered: the
-// decode cache under self-modifying stores and pokes, out-of-image PCs,
-// and the SparseMemory byte/word paths (alignment, page crossing, clear).
+// word-granular memory, and charges a fetch in the line the previous fetch
+// left resident without probing the L1I; Interpreter::run_reference
+// decodes every step from memory and probes on every fetch.  The two must
+// agree bit-exactly on every kernel and every platform of the policy axis
+// (each PlacementPolicy, with and without partitioning): RunResult
+// (reason, steps, cycles), machine time, every MachineStats field and
+// every CacheStats field of every level.  Also covered: flushes of the
+// line being executed, back-to-back run() calls, the decode cache under
+// self-modifying stores and pokes, out-of-image PCs, and the SparseMemory
+// byte/word paths (alignment, page crossing, zero page, clear).
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/policy.h"
 #include "isa/assembler.h"
 #include "isa/interpreter.h"
 #include "isa/kernels.h"
@@ -34,54 +39,84 @@ sim::Machine paper_machine(std::uint64_t seed) {
   return machine;
 }
 
-void expect_same_cache_stats(const cache::CacheStats& a,
-                             const cache::CacheStats& b,
-                             const std::string& level) {
-  EXPECT_EQ(a.accesses, b.accesses) << level;
-  EXPECT_EQ(a.hits, b.hits) << level;
-  EXPECT_EQ(a.misses, b.misses) << level;
-  EXPECT_EQ(a.evictions, b.evictions) << level;
-  EXPECT_EQ(a.writebacks, b.writebacks) << level;
-  EXPECT_EQ(a.contention_evictions, b.contention_evictions) << level;
+/// Every observable of two machines: time, machine counters and the full
+/// statistics of every cache level.
+void expect_same_machine(sim::Machine& a, sim::Machine& b,
+                         const std::string& label) {
+  EXPECT_EQ(a.now(), b.now()) << label;
+  EXPECT_TRUE(a.stats() == b.stats()) << label << ": MachineStats differ";
+  EXPECT_TRUE(a.hierarchy().l1i().stats() == b.hierarchy().l1i().stats())
+      << label << ": L1I stats differ";
+  EXPECT_TRUE(a.hierarchy().l1d().stats() == b.hierarchy().l1d().stats())
+      << label << ": L1D stats differ";
+  if (a.hierarchy().has_l2()) {
+    EXPECT_TRUE(a.hierarchy().l2().stats() == b.hierarchy().l2().stats())
+        << label << ": L2 stats differ";
+  }
 }
 
+/// One step of a drive script, applied to both twins between runs.
+enum class Between { kNothing, kFlushCaches, kSwitchToAttacker };
+
 /// Run `source` through the decode-cache path on one machine and the
-/// reference decode loop on an identically seeded twin; every observable
-/// must match.
-void expect_paths_equivalent(const std::string& source,
-                             std::uint64_t max_steps = 10'000'000) {
-  sim::Machine fast_machine = paper_machine(99);
-  sim::Machine ref_machine = paper_machine(99);
-  Interpreter fast(fast_machine);
-  Interpreter ref(ref_machine);
+/// reference decode loop on an identically built twin, one run() per
+/// entry of `script` (cold, warm, then whatever the script does between
+/// runs); every observable must match after each run.
+void expect_equivalent_on(std::unique_ptr<sim::Machine> fast_machine,
+                          std::unique_ptr<sim::Machine> ref_machine,
+                          const std::string& source, std::uint64_t max_steps,
+                          const std::vector<Between>& script,
+                          const std::string& label) {
+  Interpreter fast(*fast_machine);
+  Interpreter ref(*ref_machine);
   const Program program = assemble(source, 0x1000);
   fast.load_program(program);
   ref.load_program(program);
 
-  for (int pass = 0; pass < 2; ++pass) {  // cold then warm
+  for (std::size_t pass = 0; pass < script.size(); ++pass) {
+    for (sim::Machine* m : {fast_machine.get(), ref_machine.get()}) {
+      switch (script[pass]) {
+        case Between::kNothing: break;
+        case Between::kFlushCaches: m->flush_caches(); break;
+        case Between::kSwitchToAttacker:
+          m->set_process(core::kMatrixAttacker);
+          break;
+      }
+    }
+    const std::string at = label + " pass " + std::to_string(pass);
     const RunResult a = fast.run(0x1000, max_steps);
     const RunResult b = ref.run_reference(0x1000, max_steps);
-    EXPECT_EQ(static_cast<int>(a.reason), static_cast<int>(b.reason));
-    EXPECT_EQ(a.steps, b.steps);
-    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(static_cast<int>(a.reason), static_cast<int>(b.reason)) << at;
+    EXPECT_EQ(a.steps, b.steps) << at;
+    EXPECT_EQ(a.cycles, b.cycles) << at;
+    expect_same_machine(*fast_machine, *ref_machine, at);
   }
-  EXPECT_EQ(fast_machine.now(), ref_machine.now());
-  const sim::MachineStats& sa = fast_machine.stats();
-  const sim::MachineStats& sb = ref_machine.stats();
-  EXPECT_EQ(sa.instructions, sb.instructions);
-  EXPECT_EQ(sa.loads, sb.loads);
-  EXPECT_EQ(sa.stores, sb.stores);
-  EXPECT_EQ(sa.branches, sb.branches);
-  EXPECT_EQ(sa.taken_branches, sb.taken_branches);
-  expect_same_cache_stats(fast_machine.hierarchy().l1i().stats(),
-                          ref_machine.hierarchy().l1i().stats(), "L1I");
-  expect_same_cache_stats(fast_machine.hierarchy().l1d().stats(),
-                          ref_machine.hierarchy().l1d().stats(), "L1D");
-  expect_same_cache_stats(fast_machine.hierarchy().l2().stats(),
-                          ref_machine.hierarchy().l2().stats(), "L2");
   // Functional state too: registers.
   for (unsigned r = 0; r < 16; ++r) {
-    EXPECT_EQ(fast.reg(r), ref.reg(r)) << "r" << r;
+    EXPECT_EQ(fast.reg(r), ref.reg(r)) << label << " r" << r;
+  }
+}
+
+/// The cold / warm / attacker-after-victim script: the attacker pass
+/// fetches the victim's code lines under another process, which is where
+/// RPCache's secure contention declines L1I fills.
+const std::vector<Between> kColdWarmAttacker = {
+    Between::kNothing, Between::kNothing, Between::kSwitchToAttacker};
+
+/// expect_equivalent_on over all 14 platforms: every PlacementPolicy,
+/// unpartitioned and partitioned, victim and attacker seeded.
+void expect_paths_equivalent(const std::string& source,
+                             std::uint64_t max_steps = 10'000'000,
+                             const std::vector<Between>& script =
+                                 kColdWarmAttacker) {
+  for (const core::PlacementPolicy policy : core::all_policies()) {
+    for (const bool partitioned : {false, true}) {
+      expect_equivalent_on(
+          core::build_policy_machine(policy, 99, partitioned),
+          core::build_policy_machine(policy, 99, partitioned), source,
+          max_steps, script,
+          core::to_string(policy) + (partitioned ? "/partitioned" : ""));
+    }
   }
 }
 
@@ -113,6 +148,76 @@ TEST(InterpreterEquivalence, FlushKernelsMatchReferenceDecode) {
       "        bne  r3, r0, loop\n"
       "        halt\n",
       100'000);
+}
+
+TEST(InterpreterEquivalence, FlushOfTheLineBeingExecutedRefetches) {
+  // The loop body sits in the first 32-byte code line (0x1000-0x101F) and
+  // flushes that very line partway through it: the instructions after the
+  // flush, in the same line, were fetched from a resident line a moment
+  // ago and must now miss.  A second flush targets the NEXT code line
+  // before execution reaches it, and a third a data line.
+  //   0x1000  la   r1, 0x1000      (2 words)
+  //   0x1008  la   r5, 0x1020      (2 words)
+  //   0x1010  loop: addi r2, r2, 1
+  //   0x1014  flush r1             ; this line
+  //   0x1018  addi r3, r3, 1       ; same line, after the flush
+  //   0x101C  flush r5             ; the next line
+  //   0x1020  flush r6             ; a data line (r6 = 0)
+  //   0x1024  slti r4, r2, 40
+  //   0x1028  bne  r4, r0, loop
+  //   0x102C  halt
+  expect_paths_equivalent(
+      "        la   r1, 0x1000\n"
+      "        la   r5, 0x1020\n"
+      "loop:   addi r2, r2, 1\n"
+      "        flush r1\n"
+      "        addi r3, r3, 1\n"
+      "        flush r5\n"
+      "        flush r6\n"
+      "        slti r4, r2, 40\n"
+      "        bne  r4, r0, loop\n"
+      "        halt\n",
+      100'000);
+}
+
+TEST(InterpreterEquivalence, BackToBackRunsStartWithoutARememberedLine) {
+  // The halt and the entry share one code line, so a line remembered
+  // across run() calls would be charged as a hit.  Between the calls the
+  // script does nothing, flushes every cache (the remembered line is then
+  // gone), and switches process.
+  const std::vector<Between> script = {
+      Between::kNothing, Between::kNothing, Between::kFlushCaches,
+      Between::kNothing, Between::kSwitchToAttacker, Between::kFlushCaches};
+  expect_paths_equivalent("addi r1, r1, 1\nhalt\n", 100, script);
+  expect_paths_equivalent(vector_sum_source(0x40000, 64), 1'000'000, script);
+}
+
+TEST(InterpreterEquivalence, ShortcutDeclinesOnTtlAndDeclinedFills) {
+  // ClepsydraCache: an inner loop of 3 x 3000 fetches in one code line
+  // outlasts every L1I TTL, so the outer loop's line expires - but only
+  // if every fetch ticks the TTL clock, which is why a TTL L1I never
+  // takes the shortcut.  Layout: the outer loop in line 0x1000, padding,
+  // the inner loop in line 0x1020.
+  expect_paths_equivalent(
+      "outer:  addi r1, r1, 1\n"
+      "        addi r2, r0, 0\n"
+      "        jal  r0, inner\n"
+      "        nop\n nop\n nop\n nop\n nop\n"
+      "inner:  addi r2, r2, 1\n"
+      "        slti r3, r2, 3000\n"
+      "        bne  r3, r0, inner\n"
+      "        slti r4, r1, 4\n"
+      "        bne  r4, r0, outer\n"
+      "        halt\n",
+      1'000'000);
+  // RPCache: 24KB of straight-line code overfills the 16KB L1I, so the
+  // attacker pass finds full sets of victim lines and the secure
+  // contention rule declines its fills - the rest of each such line must
+  // still be probed (and miss) on the fast path.
+  std::string straight;
+  for (int i = 0; i < 6144; ++i) straight += "addi r1, r1, 1\n";
+  straight += "halt\n";
+  expect_paths_equivalent(straight, 100'000);
 }
 
 TEST(InterpreterEquivalence, BadInstructionAndStepLimitMatch) {
@@ -238,6 +343,39 @@ TEST(SparseMemoryTest, UntouchedMemoryReadsZeroAndClearRestoresIt) {
   // Still writable after clear.
   mem.store32(0x4000, 5);
   EXPECT_EQ(mem.load32(0x4000), 5u);
+}
+
+TEST(SparseMemoryTest, UnmappedPageReadsZeroUntilAStoreAllocatesIt) {
+  // Reads of a page never written alias the shared read-only zero page;
+  // the first store must allocate a real page instead of writing through
+  // it, or every other memory would see the write.
+  const Addr a = 0x7A000;
+  {
+    sim::Machine m = paper_machine(12);
+    Interpreter interp(m);
+    SparseMemory& mem = interp.memory();
+    EXPECT_EQ(mem.load32(a), 0u);       // installs the zero-page slot
+    EXPECT_EQ(mem.load8(a + 5), 0u);
+    mem.store32(a, 0xCAFEF00Du);        // must allocate, not write through
+    EXPECT_EQ(mem.load32(a), 0xCAFEF00Du);
+    EXPECT_EQ(mem.load32(a + 4), 0u);
+    mem.store8(a + 9, 0x5A);
+    EXPECT_EQ(mem.load32(a + 8), 0x5A00u);
+    // A byte store into another unmapped page takes the same path.
+    EXPECT_EQ(mem.load8(a + 0x1003), 0u);
+    mem.store8(a + 0x1003, 0x77);
+    EXPECT_EQ(mem.load32(a + 0x1000), 0x77000000u);
+    mem.clear();
+    EXPECT_EQ(mem.load32(a), 0u);
+    EXPECT_EQ(mem.load32(a + 0x1000), 0u);
+  }
+  sim::Machine m = paper_machine(13);
+  Interpreter second(m);
+  EXPECT_EQ(second.peek32(a), 0u);
+  EXPECT_EQ(second.peek32(a + 8), 0u);
+  EXPECT_EQ(second.peek32(a + 0x1000), 0u);
+  // Any other page reads zero too: the zero page itself stayed zero.
+  EXPECT_EQ(second.peek32(0x1234000), 0u);
 }
 
 TEST(SparseMemoryTest, SlotConflictsResolveThroughTheMap) {

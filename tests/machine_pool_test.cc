@@ -6,8 +6,10 @@
 //  * MachinePool reuse-vs-fresh equality on seeded layouts, for policy
 //    machines (all policies x partitioning) and Setups.
 //  * Machine::instr_block's same-line batching must yield exactly the
-//    cycles and stats of per-instruction calls, on hit-friendly and
-//    allocation-refusing (random-fill) configurations alike.
+//    cycles and stats of per-instruction calls, on hit-friendly,
+//    allocation-refusing (random-fill), quantized (TimeCache) and TTL
+//    configurations alike; fetch_repeat() charges exactly a probed hit,
+//    and fetch() reports a line resident only when it is.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -204,20 +206,85 @@ TEST(InstrBlock, BatchedAccountingMatchesPerInstructionCalls) {
   expect_instr_block_exact(random_fill, 17);
 }
 
-TEST(InstrBlock, RepeatHitLeavesStatsUntouchedWhenNotResident) {
-  sim::Machine m(small_config(), std::make_shared<rng::XorShift64Star>(1));
-  m.set_process(ProcId{1});
-  const cache::CacheStats before = m.hierarchy().l1i().stats();
-  EXPECT_FALSE(m.hierarchy().repeat_instr_hits(ProcId{1}, 0x7000, 5));
-  const cache::CacheStats after = m.hierarchy().l1i().stats();
-  EXPECT_EQ(before.accesses, after.accesses);
-  EXPECT_EQ(before.hits, after.hits);
-  // Once fetched, the batch path accounts exactly `count` hits.
-  m.instr(0x7000);
-  EXPECT_TRUE(m.hierarchy().repeat_instr_hits(ProcId{1}, 0x7000, 5));
-  const cache::CacheStats hit = m.hierarchy().l1i().stats();
-  EXPECT_EQ(hit.accesses, after.accesses + 6);  // 1 fetch + 5 batched
-  EXPECT_EQ(hit.hits, after.hits + 5);
+TEST(InstrBlock, QuantizedAndTtlPlatformsMatchPerInstructionCalls) {
+  // TimeCache: a guaranteed hit costs the quantum, and the batch charges
+  // exactly that.  ClepsydraCache: a TTL L1I never batches (every fetch
+  // ticks the expiry clock); the TTLs expire lines mid-sequence.
+  expect_instr_block_exact(
+      core::policy_hierarchy_config(core::PlacementPolicy::kTimeCache), 5);
+  expect_instr_block_exact(
+      core::policy_hierarchy_config(core::PlacementPolicy::kClepsydra), 23);
+  sim::HierarchyConfig short_ttl = small_config();
+  short_ttl.l1i.config.ttl_min = 3;
+  short_ttl.l1i.config.ttl_max = 9;
+  expect_instr_block_exact(short_ttl, 29);
+}
+
+TEST(FetchRepeat, ChargesExactlyAGuaranteedHit) {
+  for (const auto policy :
+       {core::PlacementPolicy::kModulo, core::PlacementPolicy::kTimeCache}) {
+    sim::Machine m(core::policy_hierarchy_config(policy),
+                   std::make_shared<rng::XorShift64Star>(1));
+    EXPECT_TRUE(m.fetch(0x7000)) << core::to_string(policy);  // cold miss
+    const Cycles before = m.now();
+    const cache::CacheStats stats_before = m.hierarchy().l1i().stats();
+    EXPECT_TRUE(m.fetch(0x7004));  // a probed hit of the same line
+    const Cycles hit_cost = m.now() - before;
+    m.fetch_repeat(5);
+    EXPECT_EQ(m.now() - before, 6 * hit_cost) << core::to_string(policy);
+    const cache::CacheStats after = m.hierarchy().l1i().stats();
+    EXPECT_EQ(after.accesses, stats_before.accesses + 6);
+    EXPECT_EQ(after.hits, stats_before.hits + 6);
+    EXPECT_EQ(m.stats().instructions, 7u);
+  }
+  // A TTL L1I never offers the repeat.
+  sim::Machine ttl(
+      core::policy_hierarchy_config(core::PlacementPolicy::kClepsydra),
+      std::make_shared<rng::XorShift64Star>(1));
+  EXPECT_FALSE(ttl.fetch(0x7000));
+  EXPECT_FALSE(ttl.fetch(0x7000));
+}
+
+/// Drive `m` with fetches and check fetch()'s residency verdict: a line
+/// reported resident really is, and a miss reports it only when the fill
+/// installed it.  Returns how many misses declined (reported false).
+std::uint64_t declined_fetch_misses(sim::Machine& m, ProcId a, ProcId b) {
+  std::uint64_t declined = 0;
+  for (unsigned i = 0; i < 2000; ++i) {
+    const ProcId proc = (i / 3) % 2 == 0 ? a : b;
+    const Addr pc = 0x7000 + 32 * static_cast<Addr>((i * 37) % 300);
+    m.set_process(proc);
+    const cache::CacheStats before = m.hierarchy().l1i().stats();
+    const bool resident = m.fetch(pc);
+    const bool hit = m.hierarchy().l1i().stats().hits > before.hits;
+    const bool contains = m.hierarchy().l1i().contains(proc, pc);
+    if (resident) {
+      EXPECT_TRUE(contains) << "fetch " << i;
+    }
+    if (hit) {
+      EXPECT_TRUE(resident) << "fetch " << i;
+    }
+    if (!hit && !resident) ++declined;
+  }
+  return declined;
+}
+
+TEST(FetchRepeat, MissThatDeclinedToInstallIsNotResident) {
+  // Random fill serves the demanded line without caching it.
+  sim::HierarchyConfig random_fill = small_config();
+  random_fill.l1i.config.random_fill_window = 4;
+  sim::Machine rf(random_fill, std::make_shared<rng::XorShift64Star>(1));
+  EXPECT_GT(declined_fetch_misses(rf, ProcId{1}, ProcId{1}), 0u);
+  // RPCache secure contention declines fills that would evict another
+  // process's line.
+  sim::HierarchyConfig rp = small_config();
+  rp.l1i.mapper = cache::MapperKind::kRpCache;
+  sim::Machine rpm(rp, std::make_shared<rng::XorShift64Star>(2));
+  EXPECT_GT(declined_fetch_misses(rpm, ProcId{1}, ProcId{2}), 0u);
+  EXPECT_GT(rpm.hierarchy().l1i().stats().contention_evictions, 0u);
+  // A conventional L1I installs every miss.
+  sim::Machine plain(small_config(), std::make_shared<rng::XorShift64Star>(3));
+  EXPECT_EQ(declined_fetch_misses(plain, ProcId{1}, ProcId{2}), 0u);
 }
 
 }  // namespace
