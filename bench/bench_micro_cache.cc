@@ -140,11 +140,15 @@ BENCHMARK_CAPTURE(BM_Interpreter, vecsum,
                   tsc::isa::vector_sum_source(0x40000, 5120));
 BENCHMARK_CAPTURE(BM_Interpreter, matmul,
                   tsc::isa::matmul_source(0x40000, 0x50000, 0x60000, 24));
+// The campaigns' sort-1KB kernel: two loads per comparison from one data
+// line, the load-repeat path.
+BENCHMARK_CAPTURE(BM_Interpreter, sort,
+                  tsc::isa::bubble_sort_source(0x40000, 256));
 
-// The same kernel on the two platforms where the interpreter's same-line
-// fetch shortcut behaves differently: ClepsydraCache (a TTL L1I, so every
-// fetch probes) and TimeCache (quantized hits, so each repeat charges the
-// quantum).
+// The same kernels on the two platforms where the interpreter's same-line
+// repeats behave differently: ClepsydraCache (TTL L1s, so each batch of
+// repeats ticks the expiry clock and reclaims the set's dead lines) and
+// TimeCache (quantized hits, so each repeat charges the quantum).
 void BM_Interpreter(benchmark::State& state, const std::string& source,
                     core::PlacementPolicy policy) {
   const auto machine = core::build_policy_machine(policy, 7, false);
@@ -157,6 +161,9 @@ BENCHMARK_CAPTURE(BM_Interpreter, vecsum_clepsydra,
 BENCHMARK_CAPTURE(BM_Interpreter, vecsum_timecache,
                   tsc::isa::vector_sum_source(0x40000, 5120),
                   core::PlacementPolicy::kTimeCache);
+BENCHMARK_CAPTURE(BM_Interpreter, sort_clepsydra,
+                  tsc::isa::bubble_sort_source(0x40000, 256),
+                  core::PlacementPolicy::kClepsydra);
 
 // What one MBPTA run pays before any instruction executes.  Fresh: build a
 // policy machine from scratch (the pre-pool protocol).  Reset: re-deploy a

@@ -10,7 +10,9 @@ check fails (exit 1) when any benchmark present in both files is more than
 It also fails (exit 2) when a baseline benchmark is MISSING from the current
 run: a silently dropped benchmark would otherwise turn the gate off for
 exactly the code path it was guarding.  A renamed or retired benchmark must
-be accompanied by a regenerated baseline.
+be accompanied by a regenerated baseline.  Benchmarks in the current run but
+not in the baseline are listed as "ungated" (they pass until the baseline is
+regenerated with them); they never change the exit code.
 
 Normalization: absolute nanoseconds are not comparable across CI runners and
 developer machines, so every cpu_time is divided by the host's
@@ -86,6 +88,11 @@ def main() -> int:
             flag = "  <-- REGRESSION"
         print(f"{name:45s} base {base[name]:9.2f}ns  "
               f"now {cur[name]:9.2f}ns  norm-ratio {ratio:5.2f}{flag}")
+
+    ungated = sorted(set(cur) - set(base))
+    if ungated:
+        print(f"\n{len(ungated)} benchmark(s) not in the baseline, "
+              f"ungated: {', '.join(ungated)}")
 
     if failed:
         print(f"\n{len(failed)} benchmark(s) regressed beyond "

@@ -505,6 +505,24 @@ void Cache::fill_impl(const ResolvedMapping*, ProcId proc, Addr line,
 
 void Cache::ttl_advance_and_expire(std::uint32_t set) {
   ++ttl_clock_;
+  ttl_expire(set);
+}
+
+void Cache::ttl_repeat(std::uint64_t count) {
+  if (count == 0) return;
+  // `count` probed hits of the ttl_last_ line: each ticks the clock, scans
+  // the set and refreshes the line.  No line of the set is filled or
+  // touched meanwhile, so which lines the probes reclaim depends only on
+  // the final clock.  The hit line survives every probe (its TTL is at
+  // least 2: repeat_hits_exact), so refresh it BEFORE the one scan -
+  // otherwise its stale expiry could fall inside the streak.
+  assert((tagv_[ttl_last_] & 1) != 0 && "repeat_hits needs a resident line");
+  ttl_clock_ += count;
+  ttl_refresh(ttl_last_);
+  ttl_expire(static_cast<std::uint32_t>(ttl_last_ / config_.geometry.ways()));
+}
+
+void Cache::ttl_expire(std::uint32_t set) {
   const std::uint32_t ways = config_.geometry.ways();
   const std::size_t base = static_cast<std::size_t>(set) * ways;
   for (std::uint32_t w = 0; w < ways; ++w) {
@@ -666,6 +684,7 @@ void Cache::reset() {
   std::fill(expiry_.begin(), expiry_.end(), std::uint64_t{0});
   std::fill(ttl_.begin(), ttl_.end(), 0u);
   ttl_clock_ = 0;
+  ttl_last_ = 0;
   slow_fill_ = config_.random_fill_window > 0 || ttl_enabled_;
 }
 

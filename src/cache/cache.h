@@ -159,18 +159,30 @@ class Cache {
   FlushLineResult flush_line(ProcId proc, Addr addr);
 
   /// Account `count` read hits on the line the previous access of this
-  /// cache left resident, without probing: the caller guarantees nothing
-  /// reached this cache in between and that it has no TTL (ttl_enabled();
-  /// every TTL access must tick the expiry clock).  Only the counters
-  /// move.  The replacement touch is skipped because it would change
-  /// nothing: the previous access was a hit (which touched the same way)
-  /// or a fill (whose update leaves the way where a touch puts it), and
-  /// hits draw no random numbers.  This is the fetch-repeat path of
-  /// sim::Machine: straight-line code fetches several instructions per
-  /// line.
+  /// cache left resident, without probing: the caller guarantees that
+  /// access hit or installed the line, that nothing reached this cache
+  /// since, and that repeat_hits_exact() holds.  Exactly what `count`
+  /// probed read hits would do.  The replacement touch is skipped because
+  /// it would change nothing: the previous access was a hit (which touched
+  /// the same way) or a fill (whose update leaves the way where a touch
+  /// puts it), and hits draw no random numbers.  On a TTL cache the clock
+  /// advances by `count`, the hit line's expiry is refreshed, and the lines
+  /// of its set whose expiry the new clock reached are reclaimed (the
+  /// expirations and writebacks the probes would have made, in one scan).
+  /// This is the repeat path of sim::Machine: straight-line code fetches
+  /// several instructions per line, and loads often reread one data line.
   void repeat_hits(std::uint64_t count) {
     stats_.accesses += count;
     stats_.hits += count;
+    if (ttl_enabled_) [[unlikely]] ttl_repeat(count);
+  }
+
+  /// Can a line that an access left resident be charged with
+  /// repeat_hits()?  Always without TTLs; with TTLs only when every line
+  /// lives at least 2 accesses, since a 1-access TTL expires at the very
+  /// next probe.
+  [[nodiscard]] bool repeat_hits_exact() const {
+    return !ttl_enabled_ || config_.ttl_min >= 2;
   }
 
   /// ClepsydraCache TTLs on (config().ttl_max > 0).
@@ -278,10 +290,15 @@ class Cache {
   /// TTL (ClepsydraCache) bookkeeping: advance the access clock and lazily
   /// invalidate expired lines of the probed set (outlined: only TTL caches
   /// pay for it); refresh a hit line's expiry; draw a fresh TTL for a
-  /// newly filled line.  Only called when ttl_enabled_.
+  /// newly filled line; charge repeat_hits.  Hits and fills remember the
+  /// line they touched in ttl_last_, the line repeat_hits refreshes.  Only
+  /// called when ttl_enabled_.
   [[gnu::noinline]] void ttl_advance_and_expire(std::uint32_t set);
+  void ttl_expire(std::uint32_t set);
+  [[gnu::noinline]] void ttl_repeat(std::uint64_t count);
   void ttl_refresh(std::size_t index) {
     expiry_[index] = ttl_clock_ + ttl_[index];
+    ttl_last_ = index;
   }
   void ttl_on_fill(std::size_t index) {
     const std::uint64_t span =
@@ -290,6 +307,7 @@ class Cache {
                                                 rng_->next_below(span));
     ttl_[index] = ttl;
     expiry_[index] = ttl_clock_ + ttl;
+    ttl_last_ = index;
   }
   [[nodiscard]] AccessFn pick_access_fn() const;
   friend struct CacheAccessCompiler;  ///< instantiates the access_impl table
@@ -316,6 +334,7 @@ class Cache {
   std::vector<std::uint64_t> expiry_;  ///< clock value at which a line dies
   std::vector<std::uint32_t> ttl_;     ///< the line's drawn TTL (for refresh)
   std::uint64_t ttl_clock_ = 0;
+  std::size_t ttl_last_ = 0;  ///< line the last hit or fill touched
 
   mutable std::vector<ResolvedMapping> contexts_;  ///< per-process, dense
 

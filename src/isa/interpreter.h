@@ -13,14 +13,18 @@
 //    PCs outside the image (or unaligned ones).  Stores and pokes that
 //    land inside the image re-decode the overwritten words, so
 //    self-modifying code behaves exactly like the memory-decode path;
-//  * instruction fetches go through the L1I one by one, but a fetch in the
-//    line the previous fetch left resident skips the probe: inside one
-//    run() nothing else reaches the L1I, so it is a guaranteed hit and
-//    sim::Machine::fetch_repeat() charges exactly that (instruction, L1I
-//    access and hit, issue cycle plus the quantized hit stall).  A flush
-//    forgets the line, each run() starts without one, a TTL L1I never
-//    reports one, and a miss counts only when the fill installed the line.
-//    run_reference() probes on every fetch and stays the oracle;
+//  * instruction fetches and loads go through the L1s one by one, but a
+//    fetch in the line the previous fetch left resident, or a load in the
+//    line the previous load or store left resident, skips the probe:
+//    inside one run() nothing else reaches either L1, so it is a
+//    guaranteed hit.  The repeats are counted in locals and charged by
+//    sim::Machine::fetch_repeat()/load_repeat() (the exact cost of that
+//    many probed hits, TTL clock and expiries included) before the next
+//    full probe of that port, before a flush and at exit.  Stores always
+//    probe; a flush forgets both lines; each run() starts without them; a
+//    miss counts only when the fill installed the line; and a TTL L1
+//    offers repeats only when its TTLs last at least 2 accesses.
+//    run_reference() probes on every access and stays the oracle;
 //  * data memory is word-granular: 4KB pages of 32-bit words reached
 //    through a direct-mapped page-pointer table (one tag compare per
 //    aligned word access, the hash map only on slot misses).  Reads of a
@@ -169,9 +173,10 @@ class Interpreter {
   /// fetching through the decode cache (bit-exact with run_reference).
   RunResult run(Addr entry, std::uint64_t max_steps = 10'000'000);
 
-  /// Reference semantics: decode every instruction from memory, one fetch
-  /// per step - the pre-overhaul execution path, kept as the equivalence
-  /// oracle for the decode cache (tests) and for debugging.
+  /// Reference semantics: decode every instruction from memory, one full
+  /// L1 probe per fetch, load and store - the pre-overhaul execution path,
+  /// kept as the equivalence oracle for the decode cache and the repeat
+  /// batching (tests) and for debugging.
   RunResult run_reference(Addr entry, std::uint64_t max_steps = 10'000'000);
 
   /// Zero registers, data memory and the decode cache - a fresh interpreter

@@ -8,7 +8,8 @@ Machine::Machine(HierarchyConfig config, std::shared_ptr<rng::Rng> rng)
     : hierarchy_(std::move(config), rng),
       rng_(std::move(rng)),
       repeat_stall_(latency().quantize(latency().l1_hit) - latency().l1_hit),
-      repeat_fetch_ok_(!hierarchy_.l1i().ttl_enabled()) {}
+      repeat_fetch_ok_(hierarchy_.l1i().repeat_hits_exact()),
+      repeat_load_ok_(hierarchy_.l1d().repeat_hits_exact()) {}
 
 void Machine::reset(std::uint64_t rng_seed) {
   if (rng_ != nullptr) rng_->reseed(rng_seed);
@@ -20,8 +21,8 @@ void Machine::reset(std::uint64_t rng_seed) {
 
 void Machine::run(std::span<const AccessRecord> batch) {
   // With instr/load/store/branch inline, this compiles into one tight
-  // dispatch loop over the batch - the amortized entry point the workload
-  // and campaign replay loops drive.
+  // dispatch loop over the batch - the amortized entry point the campaign
+  // replay loops drive.
   for (const AccessRecord& r : batch) {
     switch (r.op) {
       case AccessRecord::Op::kInstr:

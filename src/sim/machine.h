@@ -18,12 +18,16 @@
 // Fetch is modeled per instruction against the real PC, so instruction-cache
 // conflicts (the target of Aciiçmez-style attacks) are simulated, not
 // approximated.  Each instruction is a fetch (fetch/fetch_repeat) followed
-// by its data or branch side (load_data/store_data/resolve_branch/
-// flush_target); instr/load/store/branch/flush_line compose the two.  A
-// caller that knows the last fetch left its line resident and nothing has
-// reached the L1I since - straight-line code, 8 instructions per 32-byte
-// line - charges the next same-line fetch with fetch_repeat(), the exact
-// cost of the guaranteed hit without the probe.
+// by its data or branch side (load_data/load_repeat/store_data/
+// resolve_branch/flush_target); instr/load/store/branch/flush_line compose
+// the two.  fetch, load_data and store_data report whether the line is now
+// resident.  A caller that knows it is, and that nothing has reached that
+// L1 since - straight-line code, 8 instructions per 32-byte line, or a
+// loop rereading one data line - charges the next same-line fetch or load
+// with fetch_repeat()/load_repeat(), the exact cost of the guaranteed hit
+// without the probe.  The repeats may be batched: n of them in one call
+// equal n separate calls, as long as the batch is charged before the next
+// access, flush or reset of that L1.
 //
 // Trace-style workloads can hand the machine a whole batch of pre-decoded
 // AccessRecords via run(): one call replays thousands of accesses with the
@@ -97,8 +101,9 @@ class Machine {
   /// Fetch the instruction at `pc` through the L1I: 1 issue cycle plus
   /// any fetch latency beyond an L1I hit.  Returns true when the fetched
   /// line is now resident and a later fetch of the same line, with no L1I
-  /// traffic in between, may be charged with fetch_repeat() instead.
-  /// Always false on a TTL L1I (every fetch must tick its expiry clock).
+  /// traffic in between, may be charged with fetch_repeat() instead: after
+  /// a hit, or a miss whose fill installed the line, and on a TTL L1I only
+  /// when its TTLs last at least 2 accesses (Cache::repeat_hits_exact).
   /// fetch, load_data and store_data are always inlined: instr/load/store
   /// compose them, and at call sites that exhaust the compiler's inlining
   /// budget (the unrolled AES rounds) each load would otherwise become two
@@ -114,26 +119,44 @@ class Machine {
   /// `n` fetches that are guaranteed L1I hits on the line the last fetch()
   /// left resident (it returned true and nothing touched the L1I since):
   /// exactly what n fetch() calls would charge - n instructions, n L1I
-  /// accesses and hits, 1 issue cycle plus the (quantized) hit stall each -
-  /// without the probe.
-  void fetch_repeat(std::uint64_t n = 1) {
+  /// accesses and hits (with the TTL clock and expiries of n probes),
+  /// 1 issue cycle plus the (quantized) hit stall each - without the probe.
+  void fetch_repeat(std::uint64_t n) {
     stats_.instructions += n;
     hierarchy_.l1i().repeat_hits(n);
     now_ += n * (1 + repeat_stall_);
   }
 
-  /// The data side of a load reading `ea` (after its fetch).
-  [[gnu::always_inline]] void load_data(Addr ea) {
+  /// The data side of a load reading `ea` (after its fetch).  Returns
+  /// true when the line is now resident and a later load of the same line,
+  /// with no L1D traffic in between, may be charged with load_repeat()
+  /// instead (the same rule as fetch()).
+  [[gnu::always_inline]] bool load_data(Addr ea) {
     ++stats_.loads;
     const HierarchyResult d = hierarchy_.access(Port::kData, proc_, ea, false);
     now_ += d.latency - latency().l1_hit;
+    return d.l1_resident && repeat_load_ok_;
   }
 
-  /// The data side of a store writing `ea` (after its fetch).
-  [[gnu::always_inline]] void store_data(Addr ea) {
+  /// The data side of `n` loads that are guaranteed L1D hits on the line
+  /// the last load_data()/store_data() left resident (it returned true and
+  /// nothing touched the L1D since): n loads, n L1D accesses and hits, the
+  /// (quantized) hit stall each - exactly n load_data() calls.
+  void load_repeat(std::uint64_t n) {
+    stats_.loads += n;
+    hierarchy_.l1d().repeat_hits(n);
+    now_ += n * repeat_stall_;
+  }
+
+  /// The data side of a store writing `ea` (after its fetch).  Returns
+  /// true when the line is now resident, so that later LOADS of it may be
+  /// charged with load_repeat(); a store always probes (it dirties the
+  /// line, which repeat_hits does not).
+  [[gnu::always_inline]] bool store_data(Addr ea) {
     ++stats_.stores;
     const HierarchyResult d = hierarchy_.access(Port::kData, proc_, ea, true);
     now_ += d.latency - latency().l1_hit;
+    return d.l1_resident && repeat_load_ok_;
   }
 
   /// Resolve a branch (after its fetch); taken branches pay the bubble.
@@ -150,7 +173,9 @@ class Machine {
   /// CURRENT process's mapping context.  The flush latency observably
   /// differs for present vs absent lines (Hierarchy::flush_line) - the
   /// Flush+Flush timing channel.  A flushed line may be the one the last
-  /// fetch() left resident, so fetch again before any fetch_repeat().
+  /// fetch or data access left resident, and on a TTL cache the flush
+  /// ticks the expiry clock: charge pending repeats first, and probe again
+  /// before any further fetch_repeat()/load_repeat().
   void flush_target(Addr ea) {
     ++stats_.line_flushes;
     const Hierarchy::FlushResult r = hierarchy_.flush_line(proc_, ea);
@@ -245,10 +270,11 @@ class Machine {
   ProcId proc_{1};
   Cycles now_ = 0;
   MachineStats stats_;
-  /// Stall of a guaranteed L1I hit beyond l1_hit: nonzero only under
+  /// Stall of a guaranteed L1 hit beyond l1_hit: nonzero only under
   /// latency quantization.
   Cycles repeat_stall_;
-  bool repeat_fetch_ok_;  ///< the L1I has no TTL (fetch() may report true)
+  bool repeat_fetch_ok_;  ///< the L1I's repeat_hits_exact()
+  bool repeat_load_ok_;   ///< the L1D's repeat_hits_exact()
 };
 
 /// The paper's platform (section 6.1.2) parameterized by cache design:

@@ -257,5 +257,50 @@ TEST(CacheModel, StatsResetKeepsContents) {
   EXPECT_TRUE(c->access(kP1, 0x100, false).hit) << "contents survived";
 }
 
+TEST(CacheModel, RepeatHitsMatchProbedHitsWhileANeighbourExpires) {
+  // ClepsydraCache TTLs of 4-8 accesses.  The streak line shares set 1
+  // with a dirty neighbour whose TTL runs out mid-streak: repeat_hits(20)
+  // must reclaim and write it back exactly like 20 probed hits, and keep
+  // the streak line itself alive although 20 exceeds its own TTL.
+  CacheSpec spec = tiny_spec();
+  spec.config.ttl_min = 4;
+  spec.config.ttl_max = 8;
+  auto batched = build_cache(spec, test_rng(5));
+  auto probed = build_cache(spec, test_rng(5));
+  ASSERT_TRUE(batched->repeat_hits_exact());
+  const Addr streak = tiny_addr(1, 0);
+  const Addr neighbour = tiny_addr(1, 1);
+  for (Cache* c : {batched.get(), probed.get()}) {
+    EXPECT_FALSE(c->access(kP1, neighbour, /*write=*/true).hit);
+    EXPECT_FALSE(c->access(kP1, streak, false).hit);
+  }
+  batched->repeat_hits(20);
+  for (Addr i = 0; i < 20; ++i) {
+    EXPECT_TRUE(probed->access(kP1, streak + i % 16, false).hit);
+  }
+  EXPECT_TRUE(batched->stats() == probed->stats());
+  EXPECT_EQ(batched->stats().ttl_expirations, 1u);
+  EXPECT_EQ(batched->stats().writebacks, 1u);
+  for (Cache* c : {batched.get(), probed.get()}) {
+    EXPECT_TRUE(c->contains(kP1, streak));
+    EXPECT_FALSE(c->contains(kP1, neighbour));
+  }
+  // The two caches carry on identically: the refreshed streak line hits,
+  // the neighbour refills, and another streak follows the refilled line.
+  for (Cache* c : {batched.get(), probed.get()}) {
+    EXPECT_TRUE(c->access(kP1, streak, false).hit);
+    EXPECT_FALSE(c->access(kP1, neighbour, false).hit);
+  }
+  batched->repeat_hits(3);
+  for (int i = 0; i < 3; ++i) (void)probed->access(kP1, neighbour, false);
+  EXPECT_TRUE(batched->stats() == probed->stats());
+  EXPECT_EQ(batched->valid_lines(), probed->valid_lines());
+
+  // A 1-access TTL kills a line at the next probe: no repeats.
+  spec.config.ttl_min = 1;
+  EXPECT_FALSE(build_cache(spec, test_rng())->repeat_hits_exact());
+  EXPECT_TRUE(build_cache(tiny_spec())->repeat_hits_exact());
+}
+
 }  // namespace
 }  // namespace tsc::cache

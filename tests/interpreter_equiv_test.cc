@@ -2,15 +2,17 @@
 //
 // Interpreter::run fetches through a PC-indexed decode cache and the flat
 // word-granular memory, and charges a fetch in the line the previous fetch
-// left resident without probing the L1I; Interpreter::run_reference
-// decodes every step from memory and probes on every fetch.  The two must
-// agree bit-exactly on every kernel and every platform of the policy axis
-// (each PlacementPolicy, with and without partitioning): RunResult
+// left resident, or a load in the line the previous data access left
+// resident, without probing, in batches; Interpreter::run_reference
+// decodes every step from memory and probes on every access.  The two
+// must agree bit-exactly on every kernel and every platform of the policy
+// axis (each PlacementPolicy, with and without partitioning): RunResult
 // (reason, steps, cycles), machine time, every MachineStats field and
 // every CacheStats field of every level.  Also covered: flushes of the
-// line being executed, back-to-back run() calls, the decode cache under
-// self-modifying stores and pokes, out-of-image PCs, and the SparseMemory
-// byte/word paths (alignment, page crossing, zero page, clear).
+// line being executed, back-to-back run() calls, short and 1-access L1
+// TTLs, data-side streaks, the decode cache under self-modifying stores
+// and pokes, out-of-image PCs, and the SparseMemory byte/word paths
+// (alignment, page crossing, zero page, clear).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -192,12 +194,12 @@ TEST(InterpreterEquivalence, BackToBackRunsStartWithoutARememberedLine) {
   expect_paths_equivalent(vector_sum_source(0x40000, 64), 1'000'000, script);
 }
 
-TEST(InterpreterEquivalence, ShortcutDeclinesOnTtlAndDeclinedFills) {
+TEST(InterpreterEquivalence, ShortcutHoldsOnLongTtlLoopsAndDeclinedFills) {
   // ClepsydraCache: an inner loop of 3 x 3000 fetches in one code line
   // outlasts every L1I TTL, so the outer loop's line expires - but only
-  // if every fetch ticks the TTL clock, which is why a TTL L1I never
-  // takes the shortcut.  Layout: the outer loop in line 0x1000, padding,
-  // the inner loop in line 0x1020.
+  // if the repeats tick the TTL clock once per fetch, as a probe would.
+  // Layout: the outer loop in line 0x1000, padding, the inner loop in
+  // line 0x1020.
   expect_paths_equivalent(
       "outer:  addi r1, r1, 1\n"
       "        addi r2, r0, 0\n"
@@ -218,6 +220,139 @@ TEST(InterpreterEquivalence, ShortcutDeclinesOnTtlAndDeclinedFills) {
   for (int i = 0; i < 6144; ++i) straight += "addi r1, r1, 1\n";
   straight += "halt\n";
   expect_paths_equivalent(straight, 100'000);
+}
+
+/// A ClepsydraCache policy machine whose L1 TTLs are [ttl_min, ttl_min +
+/// span] accesses instead of hundreds: lines die within a loop iteration.
+std::unique_ptr<sim::Machine> short_ttl_machine(std::uint32_t ttl_min,
+                                                std::uint32_t span,
+                                                std::uint64_t seed) {
+  sim::HierarchyConfig config =
+      core::policy_hierarchy_config(core::PlacementPolicy::kClepsydra);
+  for (cache::CacheSpec* level : {&config.l1i, &config.l1d}) {
+    level->config.ttl_min = ttl_min;
+    level->config.ttl_max = ttl_min + span;
+  }
+  auto machine = std::make_unique<sim::Machine>(
+      config, std::make_shared<rng::XorShift64Star>(
+                  core::policy_machine_rng_seed(seed)));
+  core::configure_policy_machine(*machine, seed, /*partitioned=*/false);
+  return machine;
+}
+
+/// Every flush executes while fetch and load repeats are pending: first
+/// a flush of the loop's own code line, then of the next code line, then
+/// of data line A while a streak in data line B pends.  Then a store to A
+/// while a B repeat pends, and a load repeat right after that store.
+/// Data line A is 0x40000, B is 0x40040; the code lines are 0x1000,
+/// 0x1020 and 0x1040.
+const char* const kFlushWhileRepeatsPend =
+    "        jal  r0, init\n"          // 0x1000
+    "loop:   lw   r6, 0(r5)\n"         // 0x1004  line A
+    "        lw   r7, 4(r5)\n"         // 0x1008  load repeat
+    "        flush r1\n"               // 0x100C  own code line
+    "        lw   r6, 64(r5)\n"        // 0x1010  line B
+    "        lw   r7, 68(r5)\n"        // 0x1014  load repeat
+    "        flush r4\n"               // 0x1018  next code line
+    "        lw   r6, 64(r5)\n"        // 0x101C
+    "        lw   r7, 68(r5)\n"        // 0x1020  load repeat, fetch miss
+    "        flush r5\n"               // 0x1024  line A
+    "        lw   r6, 64(r5)\n"        // 0x1028
+    "        lw   r7, 68(r5)\n"        // 0x102C  load repeat
+    "        sw   r2, 0(r5)\n"         // 0x1030  line A
+    "        lw   r8, 4(r5)\n"         // 0x1034  load repeat after it
+    "        addi r2, r2, 1\n"
+    "        slti r3, r2, 40\n"
+    "        bne  r3, r0, loop\n"
+    "        halt\n"
+    "init:   la   r1, 0x1000\n"
+    "        la   r4, 0x1020\n"
+    "        la   r5, 0x40000\n"
+    "        jal  r0, loop\n";
+
+TEST(InterpreterEquivalence, ShortTtlRepeatsAreChargedBeforeEachFlush) {
+  // A flush ticks every level's TTL clock, so the repeats pending when it
+  // executes must be charged before it, not at the next probe: with L1
+  // TTLs of a few accesses the two orders expire different lines.
+  for (const std::uint32_t ttl_min : {2u, 3u, 4u, 5u}) {
+    for (const std::uint32_t span : {0u, 3u, 6u}) {
+      for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        expect_equivalent_on(short_ttl_machine(ttl_min, span, seed),
+                             short_ttl_machine(ttl_min, span, seed),
+                             kFlushWhileRepeatsPend, 100'000,
+                             kColdWarmAttacker,
+                             "ttl [" + std::to_string(ttl_min) + "+" +
+                                 std::to_string(span) + "] seed " +
+                                 std::to_string(seed));
+      }
+    }
+  }
+}
+
+TEST(InterpreterEquivalence, OneAccessTtlDeclinesTheShortcut) {
+  // A line with a 1-access TTL expires at the very next probe of its set,
+  // so a same-line fetch or load may miss: neither port offers repeats.
+  for (const std::uint32_t span : {0u, 3u, 6u}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      const std::string label = "ttl [1+" + std::to_string(span) +
+                                "] seed " + std::to_string(seed);
+      const auto m = short_ttl_machine(1, span, seed);
+      EXPECT_FALSE(m->fetch(0x1000)) << label;
+      EXPECT_FALSE(m->load_data(0x40000)) << label;
+      EXPECT_FALSE(m->store_data(0x40000)) << label;
+      expect_equivalent_on(short_ttl_machine(1, span, seed),
+                           short_ttl_machine(1, span, seed),
+                           kFlushWhileRepeatsPend, 100'000,
+                           kColdWarmAttacker, label);
+      expect_equivalent_on(short_ttl_machine(1, span, seed),
+                           short_ttl_machine(1, span, seed),
+                           vector_sum_source(0x40000, 256), 1'000'000,
+                           kColdWarmAttacker, label + " vecsum");
+    }
+  }
+}
+
+TEST(InterpreterEquivalence, DataSideRepeatsMatchReference) {
+  // Byte loads walking one line, a load right after a store to its line,
+  // a store right after a load of its line, and a partial-line stride
+  // that alternates between streaks and line changes.
+  expect_paths_equivalent(
+      "        la   r1, 0x40000\n"
+      "loop:   addi r2, r2, 1\n"
+      "        lbu  r3, 0(r1)\n"
+      "        lbu  r4, 1(r1)\n"
+      "        lb   r5, 31(r1)\n"
+      "        sb   r2, 2(r1)\n"
+      "        lw   r6, 0(r1)\n"
+      "        sw   r6, 4(r1)\n"
+      "        lw   r7, 4(r1)\n"
+      "        lbu  r8, 3(r1)\n"
+      "        addi r1, r1, 12\n"
+      "        slti r9, r2, 300\n"
+      "        bne  r9, r0, loop\n"
+      "        halt\n",
+      1'000'000);
+  // Bubble sort over descending non-zero data: every comparison swaps, so
+  // each iteration loads a pair and stores it back.
+  constexpr unsigned kItems = 96;
+  const std::string sort = "        la   r1, 0x40000\n"
+                           "        li   r2, " + std::to_string(kItems) +
+                           "\n"
+                           "fill:   sw   r2, 0(r1)\n"
+                           "        addi r1, r1, 4\n"
+                           "        addi r2, r2, -1\n"
+                           "        bne  r2, r0, fill\n" +
+                           bubble_sort_source(0x40000, kItems);
+  expect_paths_equivalent(sort, 10'000'000);
+  // The program really sorts, through a store per swap.
+  sim::Machine m = paper_machine(14);
+  Interpreter interp(m);
+  interp.load_program(assemble(sort, 0x1000));
+  EXPECT_EQ(interp.run(0x1000).reason, StopReason::kHalt);
+  for (Addr i = 0; i < kItems; ++i) {
+    EXPECT_EQ(interp.peek32(0x40000 + 4 * i), i + 1) << "item " << i;
+  }
+  EXPECT_GE(m.stats().stores, kItems + kItems * (kItems - 1));
 }
 
 TEST(InterpreterEquivalence, BadInstructionAndStepLimitMatch) {

@@ -8,11 +8,13 @@
 //  * Machine::instr_block's same-line batching must yield exactly the
 //    cycles and stats of per-instruction calls, on hit-friendly,
 //    allocation-refusing (random-fill), quantized (TimeCache) and TTL
-//    configurations alike; fetch_repeat() charges exactly a probed hit,
-//    and fetch() reports a line resident only when it is.
+//    configurations alike; fetch_repeat() and load_repeat() charge
+//    exactly probed hits (TTL expiries and writebacks included), and
+//    fetch() reports a line resident only when it is.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/policy.h"
@@ -27,29 +29,17 @@
 namespace tsc::runner {
 namespace {
 
+/// Time, every MachineStats field and every CacheStats field of every
+/// level (TTL expirations and flush counters included).
 void expect_same_machine_state(sim::Machine& a, sim::Machine& b) {
   EXPECT_EQ(a.now(), b.now());
-  EXPECT_EQ(a.stats().instructions, b.stats().instructions);
-  EXPECT_EQ(a.stats().loads, b.stats().loads);
-  EXPECT_EQ(a.stats().stores, b.stats().stores);
-  EXPECT_EQ(a.stats().branches, b.stats().branches);
-  EXPECT_EQ(a.stats().taken_branches, b.stats().taken_branches);
-  for (auto level : {0, 1, 2}) {
-    cache::Cache& ca = level == 0   ? a.hierarchy().l1i()
-                       : level == 1 ? a.hierarchy().l1d()
-                                    : a.hierarchy().l2();
-    cache::Cache& cb = level == 0   ? b.hierarchy().l1i()
-                       : level == 1 ? b.hierarchy().l1d()
-                                    : b.hierarchy().l2();
-    EXPECT_EQ(ca.stats().accesses, cb.stats().accesses) << "level " << level;
-    EXPECT_EQ(ca.stats().hits, cb.stats().hits) << "level " << level;
-    EXPECT_EQ(ca.stats().evictions, cb.stats().evictions) << "level " << level;
-    EXPECT_EQ(ca.stats().writebacks, cb.stats().writebacks)
-        << "level " << level;
-    EXPECT_EQ(ca.stats().contention_evictions,
-              cb.stats().contention_evictions)
-        << "level " << level;
-  }
+  EXPECT_TRUE(a.stats() == b.stats()) << "MachineStats differ";
+  EXPECT_TRUE(a.hierarchy().l1i().stats() == b.hierarchy().l1i().stats())
+      << "L1I stats differ";
+  EXPECT_TRUE(a.hierarchy().l1d().stats() == b.hierarchy().l1d().stats())
+      << "L1D stats differ";
+  EXPECT_TRUE(a.hierarchy().l2().stats() == b.hierarchy().l2().stats())
+      << "L2 stats differ";
 }
 
 /// A deterministic mixed workload exercising fetch, data, branch, reseed
@@ -208,8 +198,8 @@ TEST(InstrBlock, BatchedAccountingMatchesPerInstructionCalls) {
 
 TEST(InstrBlock, QuantizedAndTtlPlatformsMatchPerInstructionCalls) {
   // TimeCache: a guaranteed hit costs the quantum, and the batch charges
-  // exactly that.  ClepsydraCache: a TTL L1I never batches (every fetch
-  // ticks the expiry clock); the TTLs expire lines mid-sequence.
+  // exactly that.  ClepsydraCache: a batch ticks the TTL clock once per
+  // fetch; the short TTLs expire lines mid-sequence.
   expect_instr_block_exact(
       core::policy_hierarchy_config(core::PlacementPolicy::kTimeCache), 5);
   expect_instr_block_exact(
@@ -237,12 +227,68 @@ TEST(FetchRepeat, ChargesExactlyAGuaranteedHit) {
     EXPECT_EQ(after.hits, stats_before.hits + 6);
     EXPECT_EQ(m.stats().instructions, 7u);
   }
-  // A TTL L1I never offers the repeat.
-  sim::Machine ttl(
-      core::policy_hierarchy_config(core::PlacementPolicy::kClepsydra),
-      std::make_shared<rng::XorShift64Star>(1));
-  EXPECT_FALSE(ttl.fetch(0x7000));
-  EXPECT_FALSE(ttl.fetch(0x7000));
+  // A TTL L1I offers the repeat iff its TTLs last at least 2 accesses,
+  // and then fetch_repeat(n) is n probed fetches on every CacheStats
+  // field: the streak outlives the TTL of the line sharing its set.
+  // (small_config's L1I: 64 sets x 2 ways of 32 bytes, set stride 2KB.)
+  for (const std::uint32_t ttl_min : {1u, 2u, 3u}) {
+    sim::HierarchyConfig cfg = small_config();
+    cfg.l1i.config.ttl_min = ttl_min;
+    cfg.l1i.config.ttl_max = ttl_min + 6;
+    sim::Machine batched(cfg, std::make_shared<rng::XorShift64Star>(4));
+    sim::Machine probed(cfg, std::make_shared<rng::XorShift64Star>(4));
+    for (sim::Machine* m : {&batched, &probed}) {
+      EXPECT_EQ(m->fetch(0x7800), ttl_min >= 2) << "ttl_min " << ttl_min;
+      EXPECT_EQ(m->fetch(0x7000), ttl_min >= 2) << "ttl_min " << ttl_min;
+    }
+    if (ttl_min < 2) continue;
+    batched.fetch_repeat(12);
+    for (Addr i = 0; i < 12; ++i) (void)probed.fetch(0x7004 + 4 * (i % 7));
+    EXPECT_EQ(batched.now(), probed.now()) << "ttl_min " << ttl_min;
+    EXPECT_TRUE(batched.stats() == probed.stats()) << "ttl_min " << ttl_min;
+    const cache::CacheStats got = batched.hierarchy().l1i().stats();
+    EXPECT_TRUE(got == probed.hierarchy().l1i().stats())
+        << "ttl_min " << ttl_min;
+    EXPECT_EQ(got.ttl_expirations, 1u) << "ttl_min " << ttl_min;
+    EXPECT_TRUE(batched.hierarchy().l1i().contains(ProcId{1}, 0x7000));
+  }
+}
+
+TEST(LoadRepeat, ChargesExactlyAGuaranteedHit) {
+  // load_repeat(n) against n probed loads of the same line, on the plain,
+  // quantized and TTL platforms.  The stores first dirty more lines than
+  // the L1D holds, so the streak line's set is full of dirty lines; on
+  // ClepsydraCache their TTLs (512-4096 accesses) run out during the
+  // 5000-load streak and each is written back on expiry.
+  for (const auto policy :
+       {core::PlacementPolicy::kModulo, core::PlacementPolicy::kTimeCache,
+        core::PlacementPolicy::kClepsydra}) {
+    const std::string label = core::to_string(policy);
+    sim::Machine batched(core::policy_hierarchy_config(policy),
+                         std::make_shared<rng::XorShift64Star>(6));
+    sim::Machine probed(core::policy_hierarchy_config(policy),
+                        std::make_shared<rng::XorShift64Star>(6));
+    for (sim::Machine* m : {&batched, &probed}) {
+      for (Addr i = 0; i < 1024; ++i) {
+        EXPECT_TRUE(m->store_data(0x100000 + 32 * i)) << label;
+      }
+      EXPECT_TRUE(m->load_data(0x7000)) << label;
+    }
+    const cache::CacheStats before = batched.hierarchy().l1d().stats();
+    batched.load_repeat(5000);
+    for (Addr i = 0; i < 5000; ++i) {
+      (void)probed.load_data(0x7000 + 4 * (i % 8));
+    }
+    EXPECT_EQ(batched.now(), probed.now()) << label;
+    EXPECT_TRUE(batched.stats() == probed.stats()) << label;
+    const cache::CacheStats after = batched.hierarchy().l1d().stats();
+    EXPECT_TRUE(after == probed.hierarchy().l1d().stats()) << label;
+    EXPECT_EQ(after.hits - before.hits, 5000u) << label;
+    if (policy == core::PlacementPolicy::kClepsydra) {
+      EXPECT_GT(after.ttl_expirations, before.ttl_expirations) << label;
+      EXPECT_GT(after.writebacks, before.writebacks) << label;
+    }
+  }
 }
 
 /// Drive `m` with fetches and check fetch()'s residency verdict: a line
