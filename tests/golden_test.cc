@@ -20,6 +20,14 @@
 // deterministic platform never MBPTA-applicable, the randomized platforms
 // passing with converged pWCET curves.
 //
+// tests/golden/pwcet_exceedance_s120_ss40.json pins the plotting companion
+// of the matrix: the same per-cell samples, the empirical tails and the
+// fitted Gumbel/GPD exceedance curves.
+//
+// The ten paper experiments (fig1-fig4, sec621-sec623, the ablations) are
+// pinned at --fast scale by paper_golden_test, which shares this file's
+// helpers (golden_fixture.h).
+//
 // If an intentional semantic change ever invalidates a fixture, regenerate
 // it with:
 //   tsc_run --experiment fig5 --samples 3000 --shard-size 1000 --json
@@ -32,50 +40,22 @@
 //       > tests/golden/flush_matrix_s600_ss200.json
 //   tsc_run --experiment ct_audit --samples 1 --shard-size 1 --json
 //       > tests/golden/ct_audit.json
-// (each command on one line) and say so loudly in the commit message - this
-// file is the contract that performance work does not move simulation
-// results.
+//   tsc_run --experiment pwcet_exceedance --samples 120 --shard-size 40 --json
+//       > tests/golden/pwcet_exceedance_s120_ss40.json
+//   tsc_run --experiment E --fast --json > tests/golden/E_fast.json
+//       for E in fig1 fig2 fig3 fig4 sec621 sec622 sec623 ablation_samples
+//       ablation_seedpolicy ablation_partitioning
+// (each tsc_run command on one line) and say so loudly in the commit
+// message - this file is the contract that performance work does not move
+// simulation results.
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
 #include <string>
 
-#include "runner/experiment.h"
+#include "golden_fixture.h"
 
 namespace tsc::runner {
 namespace {
-
-#ifndef TSC_SOURCE_DIR
-#error "TSC_SOURCE_DIR must point at the repository root"
-#endif
-
-std::string read_fixture(const std::string& relative) {
-  const std::string path = std::string(TSC_SOURCE_DIR) + "/" + relative;
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "missing fixture " << path;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-/// Render an experiment exactly as `tsc_run --json` does (compact dump plus
-/// trailing newline), so the fixture can be regenerated with the CLI.
-std::string run_experiment_json(const std::string& name, std::size_t samples,
-                                std::size_t shard_size, unsigned workers) {
-  const Experiment* experiment = find_experiment(name);
-  EXPECT_NE(experiment, nullptr);
-  RunOptions options;
-  options.samples = samples;
-  options.shard_size = shard_size;
-  options.workers = workers;
-  Json doc = Json::object();
-  doc.set("experiment", experiment->name)
-      .set("description", experiment->description)
-      .set("seed", options.master_seed)
-      .set("results", experiment->run(options));
-  return doc.dump(-1) + "\n";
-}
 
 std::string run_fig5_json(unsigned workers) {
   return run_experiment_json("fig5", 3000, 1000, workers);
@@ -205,6 +185,19 @@ TEST(GoldenPwcetMatrix, MatchesFixtureAndAssertsThePapersClaim) {
       expected.find("\"randomized_platforms_pass_with_converged_pwcet\":true"),
       std::string::npos)
       << "fixture lost the randomized-converged verdict";
+}
+
+TEST(GoldenPwcetExceedance, MatchesCommittedFixtureByteForByte) {
+#ifndef NDEBUG
+  // 70 cells x 120 runs; minutes under Debug/ASan (see GoldenPwcetMatrix).
+  GTEST_SKIP() << "pwcet_exceedance golden runs in NDEBUG (Release) builds only";
+#endif
+  const std::string expected =
+      read_fixture("tests/golden/pwcet_exceedance_s120_ss40.json");
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(run_experiment_json("pwcet_exceedance", 120, 40, /*workers=*/2),
+            expected)
+      << "pwcet_exceedance diverged from the committed fixture";
 }
 
 }  // namespace
