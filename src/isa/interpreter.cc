@@ -306,21 +306,7 @@ RunResult Interpreter::run_loop(Addr entry, std::uint64_t max_steps) {
       case Op::kBge:
       case Op::kBltu:
       case Op::kBgeu: {
-        bool taken = false;
-        switch (in.op) {
-          case Op::kBeq: taken = a == b; break;
-          case Op::kBne: taken = a != b; break;
-          case Op::kBlt:
-            taken = static_cast<std::int32_t>(a) < static_cast<std::int32_t>(b);
-            break;
-          case Op::kBge:
-            taken =
-                static_cast<std::int32_t>(a) >= static_cast<std::int32_t>(b);
-            break;
-          case Op::kBltu: taken = a < b; break;
-          case Op::kBgeu: taken = a >= b; break;
-          default: break;
-        }
+        const bool taken = branch_taken(in.op, a, b);
         machine_.resolve_branch(taken);
         if (taken) {
           next_pc = pc + 4 + 4 * static_cast<Addr>(

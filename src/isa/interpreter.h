@@ -24,7 +24,9 @@
 //    probe; a flush forgets both lines; each run() starts without them; a
 //    miss counts only when the fill installed the line; and a TTL L1
 //    offers repeats only when its TTLs last at least 2 accesses.
-//    run_reference() probes on every access and stays the oracle;
+//    run_reference() probes on every access and stays the oracle.
+//    sim::Tape replays this same state machine from a recorded stream, so
+//    a kernel timed on many machines is interpreted once (sim/tape.h);
 //  * data memory is word-granular: 4KB pages of 32-bit words reached
 //    through a direct-mapped page-pointer table (one tag compare per
 //    aligned word access, the hash map only on slot misses).  Reads of a
@@ -128,12 +130,16 @@ class SparseMemory {
 };
 
 /// Observation hook for the reference execution path.  run_reference()
-/// invokes step() once per executed instruction, BEFORE its side effects;
-/// `ea` is the effective address for loads/stores (rs1 + imm) and the rs1
-/// value for flush and jalr, 0 otherwise.  The pre-decoded fast path
-/// (run()) never consults the sink - the hook is compiled out of it - so
-/// attaching an observer cannot perturb the golden-pinned campaigns.  Used
-/// by the dynamic taint oracle (analysis/dyntaint.h).
+/// invokes step() once per executed instruction, BEFORE its side effects
+/// (and before its fetch), so the registers still hold its operands;
+/// `ea` is the effective address for loads/stores (rs1 + imm, wrapped to
+/// 32 bits) and the rs1 value for flush and jalr, 0 otherwise.  An
+/// undecodable instruction stops the run without a step().  The
+/// pre-decoded fast path (run()) never consults the sink - the hook is
+/// compiled out of it - so attaching an observer cannot perturb the
+/// golden-pinned campaigns.  Used by the dynamic taint oracle
+/// (analysis/dyntaint.h) and the access-tape recorder (sim/tape.h), which
+/// also throws out of step() to abort a run it cannot record.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
@@ -176,7 +182,8 @@ class Interpreter {
   /// Reference semantics: decode every instruction from memory, one full
   /// L1 probe per fetch, load and store - the pre-overhaul execution path,
   /// kept as the equivalence oracle for the decode cache and the repeat
-  /// batching (tests) and for debugging.
+  /// batching (tests), for debugging, and as the path sim::Tape records
+  /// through (its TraceSink).
   RunResult run_reference(Addr entry, std::uint64_t max_steps = 10'000'000);
 
   /// Zero registers, data memory and the decode cache - a fresh interpreter
@@ -194,6 +201,7 @@ class Interpreter {
   /// Attach (or detach, with nullptr) the reference-path observer.  Only
   /// run_reference() consults it; reset() leaves it in place.
   void set_trace_sink(TraceSink* sink) { trace_sink_ = sink; }
+  [[nodiscard]] TraceSink* trace_sink() const { return trace_sink_; }
 
  private:
   /// A pre-decoded instruction; `ok` is false for undecodable words (the

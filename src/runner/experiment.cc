@@ -46,8 +46,9 @@ void print_usage(std::FILE* out) {
                "  --seed S            campaign master seed (default 2018)\n"
                "  --shards N          worker threads (0 = hardware concurrency);\n"
                "                      results are bit-identical for every value\n"
-               "  --shard-size N      samples per shard (default 25000); part of\n"
-               "                      the deterministic decomposition\n"
+               "  --shard-size N      samples per shard, at least 1 (default\n"
+               "                      25000); part of the deterministic\n"
+               "                      decomposition\n"
                "  --fast              smoke scale (standard / 8)\n"
                "  --json              compact single-line JSON on stdout\n"
                "  --output FILE       write the JSON atomically to FILE (temp\n"
@@ -257,6 +258,11 @@ int experiment_main(const std::string& name, int argc, char** argv) {
       } else if (arg == "--shards") {
         options.workers = static_cast<unsigned>(v);
       } else if (arg == "--shard-size") {
+        // 1-sample shards multiply every per-shard cost (profiles, task
+        // bookkeeping) by the sample count; 0 is a typo, not a request.
+        if (v == 0) {
+          return usage_error("--shard-size must be at least 1");
+        }
         options.shard_size = static_cast<std::size_t>(v);
       } else if (arg == "--checkpoint-every") {
         options.ft.checkpoint_every = std::max<std::size_t>(1, v);

@@ -34,6 +34,7 @@
 #include "runner/machine_pool.h"
 #include "runner/sharded.h"
 #include "runner/thread_pool.h"
+#include "sim/tape.h"
 #include "stats/correlation.h"
 #include "stats/tests.h"
 
@@ -1167,30 +1168,46 @@ mbpta::AnalysisConfig pwcet_matrix_analysis_config() {
   return cfg;
 }
 
-/// One timed run of a pre-assembled kernel on a fresh-semantics cell
-/// machine (worker-pooled, bit-exact with building one): warm pass
-/// (compulsory misses), then the timed second pass whose duration depends
-/// on which lines survived placement.
-double policy_kernel_time(const MatrixCell& cell, const isa::Program& program,
+/// A pWCET kernel's two passes, recorded once per experiment.  TSISA
+/// cannot read time and interpreter memory is private, so the access
+/// stream of each pass is the same on every platform and seed; the tapes
+/// (a few MB for the suite) are shared read-only by every worker.
+struct KernelTapes {
+  sim::Tape warm;   ///< from a fresh interpreter: the compulsory misses
+  sim::Tape timed;  ///< the second pass, on the state the warm pass left
+};
+
+/// One timed run of a recorded kernel on a fresh-semantics cell machine
+/// (worker-pooled, bit-exact with building one): the warm pass, then the
+/// timed second pass whose duration depends on which lines survived
+/// placement - bit-exact with interpreting the kernel on the lease.
+double policy_kernel_time(const MatrixCell& cell, const KernelTapes& kernel,
                           std::uint64_t cell_seed, std::size_t run) {
   const PooledMachine lease = MachinePool::local().policy_machine(
       cell.policy, rng::derive_seed(cell_seed, run), cell.partitioned);
   lease.machine.set_process(core::kMatrixVictim);
-  lease.interpreter.load_program(program);
-  (void)lease.interpreter.run(0x1000);  // warm pass
-  return static_cast<double>(lease.interpreter.run(0x1000).cycles);
+  (void)kernel.warm.play(lease.machine);
+  return static_cast<double>(kernel.timed.play(lease.machine));
 }
 
-/// The kernel suite assembled once at 0x1000 (matrix experiments interpret
-/// each kernel tens of thousands of times; parsing belongs outside the
-/// run loop).
-std::vector<isa::Program> assembled_kernels(const std::vector<Kernel>& suite) {
-  std::vector<isa::Program> programs;
-  programs.reserve(suite.size());
+/// The kernel suite assembled at 0x1000 and recorded once, warm pass then
+/// timed pass on one interpreter, exactly as a leased interpreter would
+/// run them (matrix experiments time each kernel tens of thousands of
+/// times; interpreting it belongs outside the run loop).  The recording
+/// machine only fixes the L1I line size every matrix platform shares.
+std::vector<KernelTapes> recorded_kernels(const std::vector<Kernel>& suite) {
+  const std::unique_ptr<sim::Machine> machine = core::build_policy_machine(
+      core::PlacementPolicy::kModulo, 0, /*partitioned=*/false);
+  std::vector<KernelTapes> tapes;
+  tapes.reserve(suite.size());
   for (const Kernel& kernel : suite) {
-    programs.push_back(isa::assemble(kernel.source, 0x1000));
+    isa::Interpreter interpreter(*machine);
+    interpreter.load_program(isa::assemble(kernel.source, 0x1000));
+    sim::Tape warm = sim::Tape::record(interpreter, 0x1000);
+    sim::Tape timed = sim::Tape::record(interpreter, 0x1000);
+    tapes.push_back({std::move(warm), std::move(timed)});
   }
-  return programs;
+  return tapes;
 }
 
 /// One (cell, timing-shard) slice of the pWCET matrix protocol, with cell
@@ -1199,19 +1216,19 @@ std::vector<isa::Program> assembled_kernels(const std::vector<Kernel>& suite) {
 /// samples identical for the same (master seed, runs, shard size).
 std::vector<double> pwcet_timing_task(
     const std::vector<MatrixCell>& platforms,
-    const std::vector<isa::Program>& programs, std::uint64_t master_seed,
+    const std::vector<KernelTapes>& kernels, std::uint64_t master_seed,
     std::size_t shard_size, const std::vector<std::size_t>& time_shards,
     std::size_t task) {
   const std::size_t shard = task % time_shards.size();
   const std::size_t cell = task / time_shards.size();
-  const MatrixCell& platform = platforms[cell / programs.size()];
-  const isa::Program& program = programs[cell % programs.size()];
+  const MatrixCell& platform = platforms[cell / kernels.size()];
+  const KernelTapes& kernel = kernels[cell % kernels.size()];
   const std::uint64_t cell_seed = pwcet_cell_seed(master_seed, cell);
   const std::size_t begin = shard * shard_size;
   std::vector<double> times;
   times.reserve(time_shards[shard]);
   for (std::size_t i = 0; i < time_shards[shard]; ++i) {
-    times.push_back(policy_kernel_time(platform, program, cell_seed, begin + i));
+    times.push_back(policy_kernel_time(platform, kernel, cell_seed, begin + i));
   }
   return times;
 }
@@ -1268,7 +1285,7 @@ Json run_pwcet_matrix(const RunOptions& options) {
   const std::size_t pp_samples = runs * 2;  // leakage-side budget per platform
   const std::size_t shard_size = std::max<std::size_t>(1, options.shard_size);
   const std::vector<Kernel> kernels = kernel_suite();
-  const std::vector<isa::Program> programs = assembled_kernels(kernels);
+  const std::vector<KernelTapes> tapes = recorded_kernels(kernels);
   const std::vector<MatrixCell> platforms = matrix_cells();
   const std::size_t n_kernels = kernels.size();
 
@@ -1301,9 +1318,8 @@ Json run_pwcet_matrix(const RunOptions& options) {
   const auto run_task = [&](std::size_t task) {
     PwcetTask out;
     if (task < timing_tasks) {
-      out.times = pwcet_timing_task(platforms, programs,
-                                    options.master_seed, shard_size,
-                                    time_shards, task);
+      out.times = pwcet_timing_task(platforms, tapes, options.master_seed,
+                                    shard_size, time_shards, task);
     } else {
       const std::size_t t = task - timing_tasks;
       const std::size_t platform_index = t / pp_shards.size();
@@ -1610,7 +1626,7 @@ Json run_pwcet_exceedance(const RunOptions& options) {
       std::max<std::size_t>(120, options.resolve_samples(240));
   const std::size_t shard_size = std::max<std::size_t>(1, options.shard_size);
   const std::vector<Kernel> kernels = kernel_suite();
-  const std::vector<isa::Program> programs = assembled_kernels(kernels);
+  const std::vector<KernelTapes> tapes = recorded_kernels(kernels);
   const std::vector<MatrixCell> platforms = matrix_cells();
   const std::size_t n_kernels = kernels.size();
   const std::size_t n_cells = platforms.size() * n_kernels;
@@ -1623,7 +1639,7 @@ Json run_pwcet_exceedance(const RunOptions& options) {
   // in order - worker-count invariant like every campaign artifact.
   std::vector<std::vector<double>> parts = parallel_map(
       pool, n_cells * time_shards.size(), [&](std::size_t task) {
-        return pwcet_timing_task(platforms, programs, options.master_seed,
+        return pwcet_timing_task(platforms, tapes, options.master_seed,
                                  shard_size, time_shards, task);
       });
 

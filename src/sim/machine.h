@@ -27,12 +27,16 @@
 // with fetch_repeat()/load_repeat(), the exact cost of the guaranteed hit
 // without the probe.  The repeats may be batched: n of them in one call
 // equal n separate calls, as long as the batch is charged before the next
-// access, flush or reset of that L1.
+// access, flush or reset of that L1.  Two callers drive this protocol:
+// isa::Interpreter::run, and sim::Tape::play (tape.h), which replays a
+// recorded kernel run with the interpreter's exact call sequence.
 //
 // Trace-style workloads can hand the machine a whole batch of pre-decoded
 // AccessRecords via run(): one call replays thousands of accesses with the
 // per-record semantics of the fine-grained interface, amortizing call
-// overhead in the replay loops that dominate campaign time.
+// overhead in the replay loops that dominate campaign time.  run() probes
+// every record (no repeats); it serves the OS and noise batches of the
+// Bernstein campaign.
 #pragma once
 
 #include <algorithm>

@@ -244,6 +244,25 @@ TEST(CliContractTest, MalformedFlagsExitTwoWithUsage) {
   expect_usage_error("--experiment fig5 --samples", "--samples");
 }
 
+TEST(CliContractTest, ZeroShardSizeIsRejectedBeforeAnyExperimentRuns) {
+  // A 0 shard size once ran as 1-sample shards: thousands of shards per
+  // cell, each with its own profile, until the process ran out of memory.
+  // The refusal happens while parsing, so no experiment starts: the
+  // checkpoint a started run would create is never written.
+  const std::string ckpt = temp_path("shard_size_zero.ckpt");
+  (void)std::remove(ckpt.c_str());
+  expect_usage_error("--experiment fig5 --fast --shard-size 0",
+                     "--shard-size must be at least 1");
+  expect_usage_error("--experiment attack_matrix --fast --shard-size 0 "
+                     "--checkpoint " + ckpt,
+                     "--shard-size must be at least 1");
+  std::ifstream written(ckpt);
+  EXPECT_FALSE(written.good()) << "a refused run must not write " << ckpt;
+  const CliResult help = run_tsc("--help");
+  EXPECT_NE(help.out.find("samples per shard, at least 1"), std::string::npos)
+      << help.out;
+}
+
 TEST(CliContractTest, UnknownExperimentExitsTwoListingExperiments) {
   const CliResult r = run_tsc("--experiment no_such_experiment");
   EXPECT_EQ(r.exit_code, 2) << r.err;
