@@ -45,26 +45,22 @@ SideResult run_victim_side(SetupKind kind, const CampaignConfig& config,
   const std::uint32_t sets = geo.sets();
 
   // The OS tick and the victim binary's fixed working-set pattern (see
-  // CampaignConfig) issue the same addresses every job: pre-decode both
-  // into AccessRecord batches once and replay them through the machine's
-  // amortized entry point.
-  std::vector<sim::AccessRecord> os_batch;
-  os_batch.reserve(config.os_lines);
+  // CampaignConfig) load the same addresses every job: compute both once.
+  std::vector<Addr> os_lines;
+  os_lines.reserve(config.os_lines);
   for (unsigned i = 0; i < config.os_lines; ++i) {
-    os_batch.push_back(
-        sim::AccessRecord::make_load(os_pc, config.os_base + i * line));
+    os_lines.push_back(config.os_base + i * line);
   }
 
-  std::vector<sim::AccessRecord> noise_batch;
+  std::vector<Addr> noise_lines;
   for (unsigned s = 0; s < config.noise_set_count; ++s) {
     const Addr index = (config.noise_set_lo + s) % sets;
     const auto depth = static_cast<unsigned>(
         rng::derive_seed(config.noise_pattern_seed, index) %
         (config.noise_max_depth + 1));
     for (unsigned d = 0; d < depth; ++d) {
-      noise_batch.push_back(sim::AccessRecord::make_load(
-          noise_pc,
-          config.noise_base + (static_cast<Addr>(d) * sets + index) * line));
+      noise_lines.push_back(
+          config.noise_base + (static_cast<Addr>(d) * sets + index) * line);
     }
   }
 
@@ -83,12 +79,12 @@ SideResult run_victim_side(SetupKind kind, const CampaignConfig& config,
 
     // OS tick: background kernel activity under the OS identity.
     m.set_process(kOsProc);
-    m.run(os_batch);
+    for (const Addr ea : os_lines) m.load(os_pc, ea);
 
     // Victim's per-request processing: an irregular working set, `depth(s)`
     // lines deep in each covered modulo set.
     m.set_process(kCryptoProc);
-    m.run(noise_batch);
+    for (const Addr ea : noise_lines) m.load(noise_pc, ea);
 
     const crypto::Block pt = crypto::random_block(pt_rng);
     (void)aes.encrypt(pt);

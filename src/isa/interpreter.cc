@@ -2,8 +2,24 @@
 
 #include <algorithm>
 #include <cassert>
+#include <type_traits>
 
 namespace tsc::isa {
+namespace {
+
+/// run_reference's side of RepeatIssuer's interface: one full probe per
+/// access, nothing remembered - the oracle the repeats are checked against.
+struct ProbeEveryAccess {
+  sim::Machine& machine;
+
+  void fetch(Addr pc, unsigned /*n, always 1*/) { (void)machine.fetch(pc); }
+  void load(Addr ea) { (void)machine.load_data(ea); }
+  void store(Addr ea) { (void)machine.store_data(ea); }
+  void flush(Addr ea) { machine.flush_target(ea); }
+  void finish() {}
+};
+
+}  // namespace
 
 const SparseMemory::Page SparseMemory::kZeroPage{};
 
@@ -124,61 +140,13 @@ RunResult Interpreter::run_loop(Addr entry, std::uint64_t max_steps) {
   RunResult result;
   StopReason stop = StopReason::kStepLimit;
   Addr pc = entry;
-  // Fast path only: the L1I line the previous fetch left resident and the
-  // L1D line the previous data access left resident.  Inside one run()
-  // nothing else reaches either L1 - fetches use the L1I, loads and stores
-  // the L1D, misses fill the L2 and the L2 never back-invalidates - so the
-  // next fetch in the code line, or load in the data line, is a guaranteed
-  // hit.  Stores always probe (they dirty the line).  The repeats are
-  // counted here and charged in one Machine::fetch_repeat/load_repeat call
-  // before the next full probe of that port, before a flush (which can
-  // invalidate either line and ticks every TTL clock; both lines are then
-  // forgotten) and at exit.  Both lines start empty on every call.
-  // kNoLine is no line number: addr >> offset_bits() stays below it for
-  // lines >= 2 bytes.
-  constexpr Addr kNoLine = ~Addr{0};
-  [[maybe_unused]] const unsigned fetch_shift =
-      machine_.hierarchy().l1i().geometry().offset_bits();
-  [[maybe_unused]] const unsigned data_shift =
-      machine_.hierarchy().l1d().geometry().offset_bits();
-  [[maybe_unused]] Addr fetch_line = kNoLine;
-  [[maybe_unused]] Addr load_line = kNoLine;
-  [[maybe_unused]] std::uint64_t fetch_repeats = 0;
-  [[maybe_unused]] std::uint64_t load_repeats = 0;
-  const auto commit_fetch_repeats = [&] {
-    if (fetch_repeats != 0) {
-      machine_.fetch_repeat(fetch_repeats);
-      fetch_repeats = 0;
-    }
-  };
-  const auto commit_load_repeats = [&] {
-    if (load_repeats != 0) {
-      machine_.load_repeat(load_repeats);
-      load_repeats = 0;
-    }
-  };
-  // The data side of a load (the oracle probes every one).
-  const auto load = [&](Addr ea) {
-    if constexpr (kUseDecodeCache) {
-      const Addr line = ea >> data_shift;
-      if (line == load_line) {
-        ++load_repeats;
-      } else {
-        commit_load_repeats();
-        load_line = machine_.load_data(ea) ? line : kNoLine;
-      }
-    } else {
-      machine_.load_data(ea);
-    }
-  };
-  const auto store = [&](Addr ea) {
-    if constexpr (kUseDecodeCache) {
-      commit_load_repeats();
-      load_line = machine_.store_data(ea) ? ea >> data_shift : kNoLine;
-    } else {
-      machine_.store_data(ea);
-    }
-  };
+  // The fast path issues through the same-line repeat protocol: inside
+  // one run() nothing else reaches the machine's L1s, and each run()
+  // starts with a new issuer, so without remembered lines.  The oracle
+  // probes every access.
+  using Issuer =
+      std::conditional_t<kUseDecodeCache, sim::RepeatIssuer, ProbeEveryAccess>;
+  Issuer issuer(machine_);
 
   while (result.steps < max_steps) {
     Instr in;
@@ -223,17 +191,7 @@ RunResult Interpreter::run_loop(Addr entry, std::uint64_t max_steps) {
       }
     }
 
-    if constexpr (kUseDecodeCache) {
-      const Addr line = pc >> fetch_shift;
-      if (line == fetch_line) [[likely]] {
-        ++fetch_repeats;
-      } else {
-        commit_fetch_repeats();
-        fetch_line = machine_.fetch(pc) ? line : kNoLine;
-      }
-    } else {
-      machine_.fetch(pc);  // the oracle probes on every fetch
-    }
+    issuer.fetch(pc, 1);
 
     switch (in.op) {
       case Op::kAdd: set_reg(in.rd, a + b); break;
@@ -269,13 +227,13 @@ RunResult Interpreter::run_loop(Addr entry, std::uint64_t max_steps) {
 
       case Op::kLw: {
         const Addr ea = a + imm;
-        load(ea);
+        issuer.load(ea);
         set_reg(in.rd, memory_.load32(ea));
         break;
       }
       case Op::kLb: {
         const Addr ea = a + imm;
-        load(ea);
+        issuer.load(ea);
         set_reg(in.rd, static_cast<std::uint32_t>(
                            static_cast<std::int32_t>(
                                static_cast<std::int8_t>(memory_.load8(ea)))));
@@ -283,19 +241,19 @@ RunResult Interpreter::run_loop(Addr entry, std::uint64_t max_steps) {
       }
       case Op::kLbu: {
         const Addr ea = a + imm;
-        load(ea);
+        issuer.load(ea);
         set_reg(in.rd, memory_.load8(ea));
         break;
       }
       case Op::kSw: {
         const Addr ea = a + imm;
-        store(ea);
+        issuer.store(ea);
         store32_sync(ea, regs_[in.rd]);
         break;
       }
       case Op::kSb: {
         const Addr ea = a + imm;
-        store(ea);
+        issuer.store(ea);
         store8_sync(ea, static_cast<std::uint8_t>(regs_[in.rd]));
         break;
       }
@@ -337,14 +295,7 @@ RunResult Interpreter::run_loop(Addr entry, std::uint64_t max_steps) {
         // Flush the line containing the address in rs1 from every cache
         // level; functionally a no-op (no register or memory effect), but
         // the machine pays the present/absent-dependent flush latency.
-        // It may invalidate either remembered line: probe in full next.
-        if constexpr (kUseDecodeCache) {
-          commit_fetch_repeats();
-          commit_load_repeats();
-          fetch_line = kNoLine;
-          load_line = kNoLine;
-        }
-        machine_.flush_target(a);
+        issuer.flush(a);
         break;
     }
 
@@ -355,10 +306,7 @@ RunResult Interpreter::run_loop(Addr entry, std::uint64_t max_steps) {
     }
   }
 
-  if constexpr (kUseDecodeCache) {
-    commit_fetch_repeats();
-    commit_load_repeats();
-  }
+  issuer.finish();
   result.reason = stop;
   result.cycles = machine_.now() - start_cycles;
   return result;

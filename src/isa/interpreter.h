@@ -5,7 +5,8 @@
 // branches pay the pipeline bubble.  Data lives in a sparse paged memory so
 // programs can use the full 32-bit address space without preallocating it.
 //
-// Hot-path layout (this drives every MBPTA run of the campaign layer):
+// Hot-path layout of run() (the campaigns' timed kernels play tapes
+// recorded through run_reference() instead; see sim/tape.h):
 //
 //  * load_program() pre-decodes the program image into a PC-indexed
 //    instruction vector; the fetch/dispatch loop consults it with one
@@ -13,20 +14,16 @@
 //    PCs outside the image (or unaligned ones).  Stores and pokes that
 //    land inside the image re-decode the overwritten words, so
 //    self-modifying code behaves exactly like the memory-decode path;
-//  * instruction fetches and loads go through the L1s one by one, but a
-//    fetch in the line the previous fetch left resident, or a load in the
-//    line the previous load or store left resident, skips the probe:
-//    inside one run() nothing else reaches either L1, so it is a
-//    guaranteed hit.  The repeats are counted in locals and charged by
-//    sim::Machine::fetch_repeat()/load_repeat() (the exact cost of that
-//    many probed hits, TTL clock and expiries included) before the next
-//    full probe of that port, before a flush and at exit.  Stores always
-//    probe; a flush forgets both lines; each run() starts without them; a
-//    miss counts only when the fill installed the line; and a TTL L1
-//    offers repeats only when its TTLs last at least 2 accesses.
-//    run_reference() probes on every access and stays the oracle.
-//    sim::Tape replays this same state machine from a recorded stream, so
-//    a kernel timed on many machines is interpreted once (sim/tape.h);
+//  * run() issues its fetches, loads, stores and flushes through
+//    sim::RepeatIssuer (sim/machine.h), the one implementation of the
+//    same-line repeat protocol: a fetch in the line the previous fetch
+//    left resident, or a load in the line the previous load or store left
+//    resident, is a guaranteed hit inside one run() and is charged in
+//    batches without the probe.  run_reference() probes every access and
+//    stays the oracle; sim::Tape::play drives the same issuer from a
+//    recorded stream.  run() itself stays a fused decode-and-issue
+//    loop: routing it through the reference loop, or recording a tape and
+//    playing it, measured 1.7-3x slower on the interpreter benchmarks;
 //  * data memory is word-granular: 4KB pages of 32-bit words reached
 //    through a direct-mapped page-pointer table (one tag compare per
 //    aligned word access, the hash map only on slot misses).  Reads of a

@@ -64,8 +64,8 @@ void print_usage(std::FILE* out) {
                "  --resume            skip shards already in --checkpoint FILE;\n"
                "                      the final JSON is byte-identical to an\n"
                "                      uninterrupted run\n"
-               "  --checkpoint-every N  flush cadence in completed shards\n"
-               "                      (default 8)\n"
+               "  --checkpoint-every N  flush cadence in completed shards, at\n"
+               "                      least 1 (default 8)\n"
                "  --max-attempts N    per-shard attempt budget (default 3)\n"
                "  --watchdog-ms N     abandon + re-queue shards running longer\n"
                "                      than N ms (default 0 = off)\n"
@@ -149,9 +149,9 @@ std::string ft_fingerprint(const RunOptions& options) {
   return fp;
 }
 
-int experiment_main(const std::string& name, int argc, char** argv) {
+int experiment_main(int argc, char** argv) {
   RunOptions options;
-  std::string experiment_name = name;
+  std::string experiment_name;
   std::string output_path;
   bool compact = false;
   int dispatch_processes = 0;  // 0 = no supervisor mode
@@ -265,7 +265,10 @@ int experiment_main(const std::string& name, int argc, char** argv) {
         }
         options.shard_size = static_cast<std::size_t>(v);
       } else if (arg == "--checkpoint-every") {
-        options.ft.checkpoint_every = std::max<std::size_t>(1, v);
+        if (v == 0) {
+          return usage_error("--checkpoint-every must be at least 1");
+        }
+        options.ft.checkpoint_every = static_cast<std::size_t>(v);
       } else if (arg == "--checkpoint-interval-ms") {
         options.ft.checkpoint_interval_ms = v;
       } else if (arg == "--max-attempts") {

@@ -62,11 +62,9 @@ struct Experiment {
 /// Look up by name; nullptr when unknown.
 [[nodiscard]] const Experiment* find_experiment(const std::string& name);
 
-/// Shared entry point for tsc_run and the bench/ wrappers: parse
-/// [--samples N] [--seed S] [--shards N] [--shard-size N] [--json]
-/// [--fast], run `name`, print the result envelope to stdout.  Returns a
-/// process exit code.  When `name` is empty, requires --experiment (or
-/// --list) on the command line.
-int experiment_main(const std::string& name, int argc, char** argv);
+/// tsc_run's entry point: parse --experiment NAME (or --list) and the
+/// other flags, run the experiment, print the result envelope to stdout.
+/// Returns a process exit code.
+int experiment_main(int argc, char** argv);
 
 }  // namespace tsc::runner

@@ -21,20 +21,18 @@ PooledMachine MachinePool::policy_machine(core::PlacementPolicy policy,
   return {*slot.machine, *slot.interpreter};
 }
 
-PooledSetup MachinePool::setup(core::SetupKind kind,
-                               std::uint64_t master_seed,
-                               std::uint64_t shared_layout_seed) {
-  SetupSlot& slot = setups_.at(static_cast<std::size_t>(kind));
-  if (slot.setup == nullptr) {
-    slot.setup = std::make_unique<core::Setup>(kind, master_seed,
-                                               shared_layout_seed);
-    slot.interpreter =
-        std::make_unique<isa::Interpreter>(slot.setup->machine());
+core::Setup& MachinePool::setup(core::SetupKind kind,
+                                std::uint64_t master_seed,
+                                std::uint64_t shared_layout_seed) {
+  std::unique_ptr<core::Setup>& slot =
+      setups_.at(static_cast<std::size_t>(kind));
+  if (slot == nullptr) {
+    slot = std::make_unique<core::Setup>(kind, master_seed,
+                                         shared_layout_seed);
   } else {
-    slot.setup->reset(master_seed, shared_layout_seed);
-    slot.interpreter->reset();
+    slot->reset(master_seed, shared_layout_seed);
   }
-  return {*slot.setup, *slot.interpreter};
+  return *slot;
 }
 
 MachinePool& MachinePool::local() {

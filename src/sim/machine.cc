@@ -19,31 +19,6 @@ void Machine::reset(std::uint64_t rng_seed) {
   stats_ = MachineStats{};
 }
 
-void Machine::run(std::span<const AccessRecord> batch) {
-  // With instr/load/store/branch inline, this compiles into one tight
-  // dispatch loop over the batch - the amortized entry point the campaign
-  // replay loops drive.
-  for (const AccessRecord& r : batch) {
-    switch (r.op) {
-      case AccessRecord::Op::kInstr:
-        instr(r.pc);
-        break;
-      case AccessRecord::Op::kLoad:
-        load(r.pc, r.ea);
-        break;
-      case AccessRecord::Op::kStore:
-        store(r.pc, r.ea);
-        break;
-      case AccessRecord::Op::kBranch:
-        branch(r.pc, r.taken);
-        break;
-      case AccessRecord::Op::kFlush:
-        flush_line(r.pc, r.ea);
-        break;
-    }
-  }
-}
-
 void Machine::drain() {
   ++stats_.drains;
   now_ += latency().drain_cost();

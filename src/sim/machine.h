@@ -27,22 +27,15 @@
 // with fetch_repeat()/load_repeat(), the exact cost of the guaranteed hit
 // without the probe.  The repeats may be batched: n of them in one call
 // equal n separate calls, as long as the batch is charged before the next
-// access, flush or reset of that L1.  Two callers drive this protocol:
-// isa::Interpreter::run, and sim::Tape::play (tape.h), which replays a
-// recorded kernel run with the interpreter's exact call sequence.
-//
-// Trace-style workloads can hand the machine a whole batch of pre-decoded
-// AccessRecords via run(): one call replays thousands of accesses with the
-// per-record semantics of the fine-grained interface, amortizing call
-// overhead in the replay loops that dominate campaign time.  run() probes
-// every record (no repeats); it serves the OS and noise batches of the
-// Bernstein campaign.
+// access, flush or reset of that L1.  RepeatIssuer (below) is the one
+// implementation of this protocol for an instruction stream: both
+// isa::Interpreter::run and sim::Tape::play (tape.h), which replays a
+// recorded kernel run, issue their accesses through it.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <span>
 
 #include "common/types.h"
 #include "sim/hierarchy.h"
@@ -62,32 +55,6 @@ struct MachineStats {
   std::uint64_t line_flushes = 0;  ///< per-line flush instructions executed
 
   bool operator==(const MachineStats&) const = default;
-};
-
-/// One pre-decoded machine operation for batched replay (Machine::run).
-struct AccessRecord {
-  enum class Op : std::uint8_t { kInstr, kLoad, kStore, kBranch, kFlush };
-
-  Addr pc = 0;
-  Addr ea = 0;  ///< effective address (loads/stores/flushes only)
-  Op op = Op::kInstr;
-  bool taken = false;  ///< branches only
-
-  [[nodiscard]] static AccessRecord make_instr(Addr pc) {
-    return {pc, 0, Op::kInstr, false};
-  }
-  [[nodiscard]] static AccessRecord make_load(Addr pc, Addr ea) {
-    return {pc, ea, Op::kLoad, false};
-  }
-  [[nodiscard]] static AccessRecord make_store(Addr pc, Addr ea) {
-    return {pc, ea, Op::kStore, false};
-  }
-  [[nodiscard]] static AccessRecord make_branch(Addr pc, bool taken) {
-    return {pc, 0, Op::kBranch, taken};
-  }
-  [[nodiscard]] static AccessRecord make_flush(Addr pc, Addr ea) {
-    return {pc, ea, Op::kFlush, false};
-  }
 };
 
 /// The machine.  Single core, single outstanding access - deliberately the
@@ -233,11 +200,6 @@ class Machine {
     resolve_branch(taken);
   }
 
-  /// Replay a batch of pre-decoded operations under the current process.
-  /// Exactly equivalent to issuing each record through instr/load/store/
-  /// branch, in order.
-  void run(std::span<const AccessRecord> batch);
-
   /// Pipeline drain (seed change / context switch / barrier).
   void drain();
 
@@ -279,6 +241,98 @@ class Machine {
   Cycles repeat_stall_;
   bool repeat_fetch_ok_;  ///< the L1I's repeat_hits_exact()
   bool repeat_load_ok_;   ///< the L1D's repeat_hits_exact()
+};
+
+/// The same-line repeat protocol for one instruction stream.  It issues the
+/// stream's fetches and data accesses into a Machine and remembers the L1I
+/// line the last fetch left resident and the L1D line the last load or
+/// store did.  A fetch or load in that line is a guaranteed hit, counted
+/// here and charged with one fetch_repeat()/load_repeat() before the next
+/// full probe of that port, before a flush (which can invalidate either
+/// line and ticks every TTL clock; both lines are then forgotten) and in
+/// finish().  Stores always probe (they dirty the line).  Exact as long as
+/// nothing else reaches the machine's L1s while the stream runs - fetches
+/// use the L1I, loads and stores the L1D, misses fill the L2 and the L2
+/// never back-invalidates - and finish() is called before anyone reads the
+/// machine's time or statistics.  Branch outcomes touch no cache: callers
+/// resolve them on the machine directly.
+class RepeatIssuer {
+ public:
+  explicit RepeatIssuer(Machine& machine)
+      : machine_(machine),
+        fetch_shift_(machine.hierarchy().l1i().geometry().offset_bits()),
+        data_shift_(machine.hierarchy().l1d().geometry().offset_bits()) {}
+
+  /// Fetch the `n` instructions pc, pc + 4, ... of one L1I line: full
+  /// probes until one leaves the line resident, then the rest as repeats.
+  void fetch(Addr pc, unsigned n) {
+    const Addr line = pc >> fetch_shift_;
+    for (; n > 0; --n, pc += 4) {
+      if (line == fetch_line_) [[likely]] {
+        fetch_repeats_ += n;
+        return;
+      }
+      commit_fetch_repeats();
+      fetch_line_ = machine_.fetch(pc) ? line : kNoLine;
+    }
+  }
+
+  /// The data side of a load reading `ea`.
+  void load(Addr ea) {
+    const Addr line = ea >> data_shift_;
+    if (line == load_line_) {
+      ++load_repeats_;
+      return;
+    }
+    commit_load_repeats();
+    load_line_ = machine_.load_data(ea) ? line : kNoLine;
+  }
+
+  /// The data side of a store writing `ea`.
+  void store(Addr ea) {
+    commit_load_repeats();
+    load_line_ = machine_.store_data(ea) ? ea >> data_shift_ : kNoLine;
+  }
+
+  /// The flush side of a flush instruction targeting `ea`.
+  void flush(Addr ea) {
+    finish();
+    fetch_line_ = kNoLine;
+    load_line_ = kNoLine;
+    machine_.flush_target(ea);
+  }
+
+  /// Charge the pending repeats (the lines stay remembered).
+  void finish() {
+    commit_fetch_repeats();
+    commit_load_repeats();
+  }
+
+ private:
+  /// No line number: addr >> offset_bits() stays below it for lines of
+  /// at least 2 bytes.
+  static constexpr Addr kNoLine = ~Addr{0};
+
+  void commit_fetch_repeats() {
+    if (fetch_repeats_ != 0) {
+      machine_.fetch_repeat(fetch_repeats_);
+      fetch_repeats_ = 0;
+    }
+  }
+  void commit_load_repeats() {
+    if (load_repeats_ != 0) {
+      machine_.load_repeat(load_repeats_);
+      load_repeats_ = 0;
+    }
+  }
+
+  Machine& machine_;
+  unsigned fetch_shift_;
+  unsigned data_shift_;
+  Addr fetch_line_ = kNoLine;
+  Addr load_line_ = kNoLine;
+  std::uint64_t fetch_repeats_ = 0;
+  std::uint64_t load_repeats_ = 0;
 };
 
 /// The paper's platform (section 6.1.2) parameterized by cache design:

@@ -114,74 +114,19 @@ Cycles Tape::play(Machine& machine) const {
         "-byte L1I lines replayed on " + std::to_string(l1i.line_bytes()) +
         "-byte lines");
   }
-  const unsigned fetch_shift = l1i.offset_bits();
-  const unsigned data_shift =
-      machine.hierarchy().l1d().geometry().offset_bits();
   const Cycles start = machine.now();
-
-  // Interpreter::run's residency state machine; lines of 32-bit addresses
-  // never reach kNoLine.
-  constexpr Addr kNoLine = ~Addr{0};
-  Addr fetch_line = kNoLine;
-  Addr load_line = kNoLine;
-  std::uint64_t fetch_repeats = 0;
-  std::uint64_t load_repeats = 0;
-  const auto commit_fetch_repeats = [&] {
-    if (fetch_repeats != 0) {
-      machine.fetch_repeat(fetch_repeats);
-      fetch_repeats = 0;
-    }
-  };
-  const auto commit_load_repeats = [&] {
-    if (load_repeats != 0) {
-      machine.load_repeat(load_repeats);
-      load_repeats = 0;
-    }
-  };
-
+  RepeatIssuer issuer(machine);
   for (const Record& record : records_) {
-    // The fetches: full probes until one leaves the line resident, then
-    // the rest of the record repeats it.
-    const Addr line = Addr{record.pc} >> fetch_shift;
-    Addr pc = record.pc;
-    for (unsigned left = record.n; left > 0; --left, pc += 4) {
-      if (line == fetch_line) {
-        fetch_repeats += left;
-        break;
-      }
-      commit_fetch_repeats();
-      fetch_line = machine.fetch(pc) ? line : kNoLine;
-    }
-
-    const Addr ea = record.ea;
+    issuer.fetch(record.pc, record.n);
     switch (record.kind) {
       case Kind::kPlain: break;
-      case Kind::kLoad: {
-        const Addr data_line = ea >> data_shift;
-        if (data_line == load_line) {
-          ++load_repeats;
-        } else {
-          commit_load_repeats();
-          load_line = machine.load_data(ea) ? data_line : kNoLine;
-        }
-        break;
-      }
-      case Kind::kStore:
-        commit_load_repeats();
-        load_line = machine.store_data(ea) ? ea >> data_shift : kNoLine;
-        break;
+      case Kind::kLoad: issuer.load(record.ea); break;
+      case Kind::kStore: issuer.store(record.ea); break;
       case Kind::kBranch: machine.resolve_branch(record.taken != 0); break;
-      case Kind::kFlush:
-        commit_fetch_repeats();
-        commit_load_repeats();
-        fetch_line = kNoLine;
-        load_line = kNoLine;
-        machine.flush_target(ea);
-        break;
+      case Kind::kFlush: issuer.flush(record.ea); break;
     }
   }
-  commit_fetch_repeats();
-  commit_load_repeats();
+  issuer.finish();
   return machine.now() - start;
 }
 

@@ -62,11 +62,7 @@ class Tape {
   /// return the cycles it took: bit-exact with Interpreter::run on the
   /// recorded program state - the same Machine calls in the same order,
   /// so time, rng draws and every MachineStats and CacheStats field agree.
-  /// Like run(), it remembers the L1I line the last fetch left resident
-  /// and the L1D line the last load or store did, and charges same-line
-  /// fetches and loads with fetch_repeat()/load_repeat() before the next
-  /// full probe of that port, before a flush (which then forgets both
-  /// lines) and at the end; stores always probe.  Throws
+  /// Both issue through the same RepeatIssuer (machine.h).  Throws
   /// std::invalid_argument when the machine's L1I line size differs from
   /// line_bytes().
   Cycles play(Machine& machine) const;

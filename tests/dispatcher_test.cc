@@ -263,6 +263,23 @@ TEST(CliContractTest, ZeroShardSizeIsRejectedBeforeAnyExperimentRuns) {
       << help.out;
 }
 
+TEST(CliContractTest, ZeroCheckpointCadenceIsRejectedBeforeAnyExperimentRuns) {
+  // A 0 cadence used to be clamped to 1 in silence; like --shard-size 0 it
+  // is refused while parsing, before the checkpoint file is created.
+  const std::string ckpt = temp_path("checkpoint_every_zero.ckpt");
+  (void)std::remove(ckpt.c_str());
+  expect_usage_error("--experiment fig5 --samples 300 --shard-size 100 "
+                     "--checkpoint " + ckpt + " --checkpoint-every 0",
+                     "--checkpoint-every must be at least 1");
+  std::ifstream written(ckpt);
+  EXPECT_FALSE(written.good()) << "a refused run must not write " << ckpt;
+  const CliResult help = run_tsc("--help");
+  EXPECT_NE(help.out.find("completed shards, at\n"
+                          "                      least 1"),
+            std::string::npos)
+      << help.out;
+}
+
 TEST(CliContractTest, UnknownExperimentExitsTwoListingExperiments) {
   const CliResult r = run_tsc("--experiment no_such_experiment");
   EXPECT_EQ(r.exit_code, 2) << r.err;

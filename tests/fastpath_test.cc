@@ -1,7 +1,7 @@
 // Tests for the devirtualized access path introduced by the hot-path
 // overhaul: resolved mapping contexts, SoA line storage, specialized
-// replacement kernels, the RM Benes-memo diagnostics, RPCache in-place
-// reseeding, and the batched Machine::run entry point.
+// replacement kernels, the RM Benes-memo diagnostics and RPCache in-place
+// reseeding.
 //
 // The placement-equivalence tests pin the resolved-context math against
 // independent re-implementations of the ORIGINAL seed formulas (written out
@@ -18,7 +18,6 @@
 #include "cache/placement.h"
 #include "common/bitops.h"
 #include "rng/rng.h"
-#include "sim/machine.h"
 
 namespace tsc::cache {
 namespace {
@@ -309,58 +308,6 @@ TEST(PartitionSecureContention, GenericWayCountPathBehavesIdentically) {
   const AccessResult r = c->access(kP2, addr_in_set(*c, kP2, set, 0), false);
   EXPECT_FALSE(r.allocated);
   EXPECT_EQ(c->stats().contention_evictions, 1u);
-}
-
-// --- batched replay (tentpole: Machine::run) ------------------------------
-
-TEST(BatchedReplay, RunMatchesFineGrainedCalls) {
-  const auto config = sim::arm920t_config(MapperKind::kRandomModulo,
-                                          MapperKind::kHashRp,
-                                          ReplacementKind::kRandom);
-  sim::Machine fine(config, test_rng(9));
-  sim::Machine batched(config, test_rng(9));
-  fine.hierarchy().set_seed(kP1, Seed{123});
-  batched.hierarchy().set_seed(kP1, Seed{123});
-  fine.set_process(kP1);
-  batched.set_process(kP1);
-
-  std::vector<sim::AccessRecord> batch;
-  rng::SplitMix64 r(21);
-  for (int i = 0; i < 4000; ++i) {
-    const Addr pc = 0x1000 + (r.next_u64() & 0xFFF0);
-    const Addr ea = 0x80000 + (r.next_u64() & 0x3FFF0);
-    switch (i % 4) {
-      case 0:
-        fine.instr(pc);
-        batch.push_back(sim::AccessRecord::make_instr(pc));
-        break;
-      case 1:
-        fine.load(pc, ea);
-        batch.push_back(sim::AccessRecord::make_load(pc, ea));
-        break;
-      case 2:
-        fine.store(pc, ea);
-        batch.push_back(sim::AccessRecord::make_store(pc, ea));
-        break;
-      default:
-        fine.branch(pc, (i & 8) != 0);
-        batch.push_back(sim::AccessRecord::make_branch(pc, (i & 8) != 0));
-        break;
-    }
-  }
-  batched.run(batch);
-
-  EXPECT_EQ(batched.now(), fine.now());
-  EXPECT_EQ(batched.stats().instructions, fine.stats().instructions);
-  EXPECT_EQ(batched.stats().loads, fine.stats().loads);
-  EXPECT_EQ(batched.stats().stores, fine.stats().stores);
-  EXPECT_EQ(batched.stats().taken_branches, fine.stats().taken_branches);
-  EXPECT_EQ(batched.hierarchy().l1d().stats().hits,
-            fine.hierarchy().l1d().stats().hits);
-  EXPECT_EQ(batched.hierarchy().l1i().stats().misses,
-            fine.hierarchy().l1i().stats().misses);
-  EXPECT_EQ(batched.hierarchy().l2().stats().accesses,
-            fine.hierarchy().l2().stats().accesses);
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 //    constructed machine bit-exactly (cycles, stats, rng draw order) - the
 //    MachinePool contract the MBPTA fresh-layout protocols rely on.
 //  * MachinePool reuse-vs-fresh equality on seeded layouts, for policy
-//    machines (all policies x partitioning) and Setups.
+//    machines (all policies x partitioning, interpreted) and Setups
+//    (timed by playing tapes, as the MBPTA experiments do).
 //  * Machine::instr_block's same-line batching must yield exactly the
 //    cycles and stats of per-instruction calls, on hit-friendly,
 //    allocation-refusing (random-fill), quantized (TimeCache) and TTL
@@ -25,6 +26,7 @@
 #include "rng/rng.h"
 #include "runner/machine_pool.h"
 #include "sim/machine.h"
+#include "sim/tape.h"
 
 namespace tsc::runner {
 namespace {
@@ -113,37 +115,37 @@ TEST(MachinePoolTest, PolicyMachineReuseMatchesFreshOnSeededLayouts) {
 }
 
 TEST(MachinePoolTest, SetupReuseMatchesFreshSetup) {
-  const isa::Program program =
-      isa::assemble(isa::vector_sum_source(0x40000, 1024), 0x1000);
+  // Timed as the MBPTA experiments time it: a recorded warm and timed
+  // pass played on the lease.
+  const std::unique_ptr<sim::Machine> recorder = core::build_policy_machine(
+      core::PlacementPolicy::kModulo, 0, /*partitioned=*/false);
+  isa::Interpreter interpreter(*recorder);
+  interpreter.load_program(
+      isa::assemble(isa::vector_sum_source(0x40000, 1024), 0x1000));
+  const sim::Tape warm = sim::Tape::record(interpreter, 0x1000);
+  const sim::Tape timed = sim::Tape::record(interpreter, 0x1000);
   constexpr ProcId kVictim{1};
   for (const core::SetupKind kind : core::all_setups()) {
     MachinePool pool;
     {
-      const PooledSetup lease = pool.setup(kind, 5);
-      lease.setup.register_process(kVictim);
-      lease.setup.machine().set_process(kVictim);
-      lease.interpreter.load_program(program);
-      (void)lease.interpreter.run(0x1000);
+      core::Setup& lease = pool.setup(kind, 5);
+      lease.register_process(kVictim);
+      lease.machine().set_process(kVictim);
+      (void)warm.play(lease.machine());
     }
-    const PooledSetup lease = pool.setup(kind, 77);
-    lease.setup.register_process(kVictim);
-    lease.setup.machine().set_process(kVictim);
-    lease.interpreter.load_program(program);
-    const double pooled_warm =
-        static_cast<double>(lease.interpreter.run(0x1000).cycles);
-    const double pooled_timed =
-        static_cast<double>(lease.interpreter.run(0x1000).cycles);
+    core::Setup& lease = pool.setup(kind, 77);
+    lease.register_process(kVictim);
+    lease.machine().set_process(kVictim);
+    const Cycles pooled_warm = warm.play(lease.machine());
+    const Cycles pooled_timed = timed.play(lease.machine());
 
     core::Setup fresh(kind, 77);
     fresh.register_process(kVictim);
     fresh.machine().set_process(kVictim);
-    isa::Interpreter interp(fresh.machine());
-    interp.load_program(program);
-    EXPECT_EQ(pooled_warm, static_cast<double>(interp.run(0x1000).cycles))
+    EXPECT_EQ(pooled_warm, warm.play(fresh.machine())) << core::to_string(kind);
+    EXPECT_EQ(pooled_timed, timed.play(fresh.machine()))
         << core::to_string(kind);
-    EXPECT_EQ(pooled_timed, static_cast<double>(interp.run(0x1000).cycles))
-        << core::to_string(kind);
-    expect_same_machine_state(lease.setup.machine(), fresh.machine());
+    expect_same_machine_state(lease.machine(), fresh.machine());
   }
 }
 

@@ -4,7 +4,9 @@
 // platform of the policy axis: the cycles of each pass, machine time,
 // every MachineStats field and every CacheStats field of every level.
 // As in the campaigns, the tapes are recorded once on one platform (modulo,
-// seed 0) and played on the others.  Covered: the pWCET kernel suite (warm and timed pass), the flush
+// seed 0) and played on the others, and on MachinePool leases of every
+// core::Setup kind.  Covered: the pWCET kernel suite (warm and timed
+// pass), the flush
 // kernels, ClepsydraCache with L1 TTLs of a few accesses (and the 1-access
 // TTL that declines repeats), Random-and-Safe's declined fills, runs cut
 // by the step limit mid-line and by a bad instruction, and an L1I with
@@ -20,10 +22,12 @@
 #include <vector>
 
 #include "core/policy.h"
+#include "core/setup.h"
 #include "isa/assembler.h"
 #include "isa/interpreter.h"
 #include "isa/kernels.h"
 #include "rng/rng.h"
+#include "runner/machine_pool.h"
 #include "sim/machine.h"
 #include "sim/tape.h"
 
@@ -137,6 +141,40 @@ const std::vector<std::string>& pwcet_kernels() {
 TEST(TapeReplay, PwcetKernelSuiteMatchesOnEveryPlatform) {
   for (const std::string& kernel : pwcet_kernels()) {
     expect_tape_matches_everywhere(kernel);
+  }
+}
+
+TEST(TapeReplay, VectorSumMatchesOnEverySetupLease) {
+  // fig1 and sec622 record the vector sum's warm and timed pass once and
+  // play them on MachinePool Setup leases.  Each must equal interpreting
+  // the kernel on a fresh Setup of that kind - which also makes a setup
+  // whose L1I line size differs from the recording machine's fail here,
+  // not in a golden fixture.
+  const std::vector<Tape> tapes =
+      record_passes(recording_machine, pwcet_kernels()[0], 10'000'000, 2);
+  const isa::Program program = isa::assemble(pwcet_kernels()[0], 0x1000);
+  constexpr ProcId kVictim{1};
+  runner::MachinePool pool;
+  for (const core::SetupKind kind : core::all_setups()) {
+    for (const std::uint64_t seed : {5u, 77u}) {
+      core::Setup& lease = pool.setup(kind, seed);
+      lease.register_process(kVictim);
+      lease.machine().set_process(kVictim);
+      core::Setup fresh(kind, seed);
+      fresh.register_process(kVictim);
+      fresh.machine().set_process(kVictim);
+      isa::Interpreter interpreter(fresh.machine());
+      interpreter.load_program(program);
+      for (std::size_t pass = 0; pass < tapes.size(); ++pass) {
+        const std::string at = core::to_string(kind) + " seed " +
+                               std::to_string(seed) + " pass " +
+                               std::to_string(pass);
+        EXPECT_EQ(tapes[pass].play(lease.machine()),
+                  interpreter.run(0x1000).cycles)
+            << at;
+        expect_same_machine(lease.machine(), fresh.machine(), at);
+      }
+    }
   }
 }
 
