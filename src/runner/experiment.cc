@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -44,8 +45,9 @@ void print_usage(std::FILE* out) {
                "  --experiment NAME   experiment to run (see --list)\n"
                "  --samples N         per-side samples / runs (0 = standard scale)\n"
                "  --seed S            campaign master seed (default 2018)\n"
-               "  --shards N          worker threads (0 = hardware concurrency);\n"
-               "                      results are bit-identical for every value\n"
+               "  --shards N          worker threads, at most 256 (0 = hardware\n"
+               "                      concurrency); results are bit-identical\n"
+               "                      for every value\n"
                "  --shard-size N      samples per shard, at least 1 (default\n"
                "                      25000); part of the deterministic\n"
                "                      decomposition\n"
@@ -251,6 +253,15 @@ int experiment_main(int argc, char** argv) {
                            (val != nullptr ? ", got '" + std::string(val) + "'"
                                            : ""));
       }
+      // Counts cast to unsigned or int below are refused, never wrapped.
+      const std::uint64_t max =
+          arg == "--shards" || arg == "--dispatch" ? 256
+          : arg == "--max-attempts" || arg == "--worker-id"
+              ? std::numeric_limits<int>::max()
+              : v;
+      if (v > max) {
+        return usage_error(arg + " must be at most " + std::to_string(max));
+      }
       if (arg == "--samples") {
         options.samples = static_cast<std::size_t>(v);
       } else if (arg == "--seed") {
@@ -281,9 +292,6 @@ int experiment_main(int argc, char** argv) {
           return usage_error(
               "--dispatch needs at least 1 worker process (omit the flag "
               "for the in-process path)");
-        }
-        if (v > 256) {
-          return usage_error("--dispatch supports at most 256 workers");
         }
         dispatch_processes = static_cast<int>(v);
       } else if (arg == "--heartbeat-ms") {

@@ -7,6 +7,7 @@
 // worker count.
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <set>
@@ -777,6 +778,49 @@ std::vector<std::size_t> matrix_shards(std::size_t samples,
   return out;
 }
 
+/// Merges one cell's completed shards of one attack in shard order: parts
+/// `first`, `first + stride`, ... hold the cell's `n_shards` task results,
+/// and `field` picks the attack's outcome out of each.  The merges are exact
+/// integer sums, so the result is the same for every worker count.  The
+/// first completed shard is moved out of `parts`, not copied; a cell with
+/// no completed shard (--allow-partial) yields nullopt.
+template <typename Task, typename Outcome>
+std::optional<Outcome> merge_shards(std::vector<std::optional<Task>>& parts,
+                                    std::size_t first, std::size_t stride,
+                                    std::size_t n_shards,
+                                    std::optional<Outcome> Task::*field) {
+  std::optional<Outcome> merged;
+  for (std::size_t s = 0; s < n_shards; ++s) {
+    std::optional<Task>& part = parts[first + s * stride];
+    if (!part || !((*part).*field)) continue;
+    Outcome& shard = *((*part).*field);
+    if (merged) {
+      merged->merge(shard);
+    } else {
+      merged.emplace(std::move(shard));
+    }
+  }
+  return merged;
+}
+
+/// Runs a matrix's `count` tasks on `pool`: through the fault-tolerance
+/// session when one is enabled (checkpoints, retries, --dispatch), else as
+/// a plain parallel_map.  An empty entry is a task that never completed.
+template <typename R, typename Fn>
+std::vector<std::optional<R>> matrix_tasks(const RunOptions& options,
+                                           const std::string& stage,
+                                           ThreadPool& pool, std::size_t count,
+                                           Fn&& fn, const TaskCodec<R>& codec) {
+  if (options.ft_session != nullptr && options.ft.enabled()) {
+    return ft_parallel_map<R>(*options.ft_session, stage, pool, count, fn,
+                              codec)
+        .results;
+  }
+  std::vector<R> plain = parallel_map(pool, count, fn);
+  return {std::make_move_iterator(plain.begin()),
+          std::make_move_iterator(plain.end())};
+}
+
 Json ranking_json(const attack::MatrixRanking& ranking,
                   const stats::JointHistogram& channel) {
   Json ranks = Json::array();
@@ -855,103 +899,77 @@ Json run_attack_matrix(const RunOptions& options) {
     return result;
   };
 
-  std::vector<std::optional<TaskResult>> parts;
-  if (options.ft_session != nullptr && options.ft.enabled()) {
-    const TaskCodec<TaskResult> codec{
-        [](const TaskResult& t, ByteWriter& w) {
-          w.put_u8(t.pp ? 1 : 2);
-          if (t.pp) {
-            put_pp_outcome(w, *t.pp);
-          } else {
-            put_et_outcome(w, *t.et);
-          }
-        },
-        [](ByteReader& r) {
-          TaskResult t;
-          if (r.u8() == 1) {
-            t.pp = get_pp_outcome(r);
-          } else {
-            t.et = get_et_outcome(r);
-          }
-          return t;
-        }};
-    parts = ft_parallel_map<TaskResult>(*options.ft_session, "attack_matrix",
-                                        pool, 2 * per_attack, run_task, codec)
-                .results;
-  } else {
-    std::vector<TaskResult> plain =
-        parallel_map(pool, 2 * per_attack, run_task);
-    parts.reserve(plain.size());
-    for (TaskResult& part : plain) parts.emplace_back(std::move(part));
-  }
-
-  // Merge in (cell, shard) order - exact integer sums, so the result is
-  // identical for every worker count - then score each cell once.  Shards
-  // missing under --allow-partial contribute nothing; a cell with NO
-  // completed shard for an attack reports null for that attack.
-  Json rows = Json::array();
-  std::vector<double> pp_unpartitioned_rank;
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    std::optional<attack::PrimeProbeOutcome> pp;
-    std::optional<attack::EvictTimeOutcome> et;
-    for (std::size_t s = 0; s < n_shards; ++s) {
-      const std::optional<TaskResult>& pp_part = parts[2 * (c * n_shards + s)];
-      const std::optional<TaskResult>& et_part =
-          parts[2 * (c * n_shards + s) + 1];
-      if (pp_part && pp_part->pp) {
-        if (pp) {
-          pp->merge(*pp_part->pp);
+  const TaskCodec<TaskResult> codec{
+      [](const TaskResult& t, ByteWriter& w) {
+        w.put_u8(t.pp ? 1 : 2);
+        if (t.pp) {
+          put_pp_outcome(w, *t.pp);
         } else {
-          pp.emplace(*pp_part->pp);
+          put_et_outcome(w, *t.et);
         }
-      }
-      if (et_part && et_part->et) {
-        if (et) {
-          et->merge(*et_part->et);
+      },
+      [](ByteReader& r) {
+        TaskResult t;
+        if (r.u8() == 1) {
+          t.pp = get_pp_outcome(r);
         } else {
-          et.emplace(*et_part->et);
+          t.et = get_et_outcome(r);
         }
-      }
-    }
+        return t;
+      }};
+  std::vector<std::optional<TaskResult>> parts = matrix_tasks(
+      options, "attack_matrix", pool, 2 * per_attack, run_task, codec);
 
-    Json pp_json;  // null when the cell's attack never completed a shard
-    Json et_json;
+  // Reduce each cell as one pool task: merge its shards in order, score
+  // it, render its row.  A task touches only its own cell's parts and the
+  // scorers share no mutable state, so the rows, assembled in cell order,
+  // are the same for every worker count.  A cell with NO completed shard
+  // for an attack reports null for that attack.
+  struct CellRow {
+    Json row;
     double pp_mean_rank = 127.5;  // chance: an unmeasured cell leaks nothing
-    if (pp) {
-      const attack::MatrixRanking pp_rank = attack::score_prime_probe(
-          pp->profile, l1, layout.tables, victim_key);
-      pp_mean_rank = pp_rank.mean_true_rank();
-      pp_json = ranking_json(pp_rank, pp->channel);
-    }
-    if (et) {
-      const attack::MatrixRanking et_rank = attack::score_evict_time(
-          et->profile, l1, layout.tables, victim_key);
-      et_json = ranking_json(et_rank, et->channel);
-    }
-    if (!cells[c].partitioned) {
-      pp_unpartitioned_rank.push_back(pp_mean_rank);
-    }
+  };
+  std::vector<CellRow> reduced =
+      parallel_map(pool, cells.size(), [&](std::size_t c) {
+        const std::optional<attack::PrimeProbeOutcome> pp = merge_shards(
+            parts, 2 * c * n_shards, 2, n_shards, &TaskResult::pp);
+        const std::optional<attack::EvictTimeOutcome> et = merge_shards(
+            parts, 2 * c * n_shards + 1, 2, n_shards, &TaskResult::et);
+        CellRow out;
+        Json pp_json;
+        Json et_json;
+        if (pp) {
+          const attack::MatrixRanking pp_rank = attack::score_prime_probe(
+              pp->profile, l1, layout.tables, victim_key);
+          out.pp_mean_rank = pp_rank.mean_true_rank();
+          pp_json = ranking_json(pp_rank, pp->channel);
+        }
+        if (et) {
+          const attack::MatrixRanking et_rank = attack::score_evict_time(
+              et->profile, l1, layout.tables, victim_key);
+          et_json = ranking_json(et_rank, et->channel);
+        }
+        out.row = Json::object();
+        out.row.set("policy", core::to_string(cells[c].policy))
+            .set("partitioned", cells[c].partitioned)
+            .set("samples", pp ? pp->profile.samples() : 0)
+            .set("prime_probe", std::move(pp_json))
+            .set("evict_time", std::move(et_json));
+        return out;
+      });
+  Json rows = Json::array();
+  for (CellRow& cell : reduced) rows.push(std::move(cell.row));
 
-    Json row = Json::object();
-    row.set("policy", core::to_string(cells[c].policy))
-        .set("partitioned", cells[c].partitioned)
-        .set("samples", pp ? pp->profile.samples() : 0)
-        .set("prime_probe", std::move(pp_json))
-        .set("evict_time", std::move(et_json));
-    rows.push(std::move(row));
-  }
-
-  // Headline ordering: Prime+Probe mean true rank, unpartitioned cells.
-  // The paper's qualitative claim is modulo leaks (low rank) while the
+  // Headline ordering: Prime+Probe mean true rank, unpartitioned cells
+  // (cells alternate unpartitioned/partitioned in policy order).  The
+  // paper's qualitative claim is modulo leaks (low rank) while the
   // randomized policies degrade the channel towards chance (127.5).
   Json ordering = Json::object();
   bool modulo_strictly_best = true;
   for (std::size_t p = 0; p < core::all_policies().size(); ++p) {
-    ordering.set(core::to_string(core::all_policies()[p]),
-                 pp_unpartitioned_rank[p]);
-    if (p > 0 && pp_unpartitioned_rank[p] <= pp_unpartitioned_rank[0]) {
-      modulo_strictly_best = false;
-    }
+    const double rank = reduced[2 * p].pp_mean_rank;
+    ordering.set(core::to_string(core::all_policies()[p]), rank);
+    if (p > 0 && rank <= reduced[0].pp_mean_rank) modulo_strictly_best = false;
   }
 
   Json j = Json::object();
@@ -1033,94 +1051,75 @@ Json run_flush_matrix(const RunOptions& options) {
     return result;
   };
 
-  std::vector<std::optional<TaskResult>> parts;
-  if (options.ft_session != nullptr && options.ft.enabled()) {
-    const TaskCodec<TaskResult> codec{
-        [](const TaskResult& t, ByteWriter& w) {
-          w.put_u8(t.fr ? 1 : 2);
-          put_flush_outcome(w, t.fr ? *t.fr : *t.ff);
-        },
-        [](ByteReader& r) {
-          TaskResult t;
-          const bool reload = r.u8() == 1;
-          if (reload) {
-            t.fr = get_flush_outcome(r);
-          } else {
-            t.ff = get_flush_outcome(r);
-          }
-          return t;
-        }};
-    parts = ft_parallel_map<TaskResult>(*options.ft_session, "flush_matrix",
-                                        pool, 2 * per_attack, run_task, codec)
-                .results;
-  } else {
-    std::vector<TaskResult> plain =
-        parallel_map(pool, 2 * per_attack, run_task);
-    parts.reserve(plain.size());
-    for (TaskResult& part : plain) parts.emplace_back(std::move(part));
-  }
+  const TaskCodec<TaskResult> codec{
+      [](const TaskResult& t, ByteWriter& w) {
+        w.put_u8(t.fr ? 1 : 2);
+        put_flush_outcome(w, t.fr ? *t.fr : *t.ff);
+      },
+      [](ByteReader& r) {
+        TaskResult t;
+        const bool reload = r.u8() == 1;
+        if (reload) {
+          t.fr = get_flush_outcome(r);
+        } else {
+          t.ff = get_flush_outcome(r);
+        }
+        return t;
+      }};
+  std::vector<std::optional<TaskResult>> parts = matrix_tasks(
+      options, "flush_matrix", pool, 2 * per_attack, run_task, codec);
 
-  // Merge in (cell, shard) order - exact integer sums, worker-count
-  // invariant - then score each cell once per attack.
-  Json rows = Json::array();
-  std::vector<double> fr_rank(cells.size(), 127.5);
-  std::vector<double> ff_rank(cells.size(), 127.5);
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    std::optional<attack::FlushOutcome> fr;
-    std::optional<attack::FlushOutcome> ff;
-    for (std::size_t s = 0; s < n_shards; ++s) {
-      const std::optional<TaskResult>& fr_part = parts[2 * (c * n_shards + s)];
-      const std::optional<TaskResult>& ff_part =
-          parts[2 * (c * n_shards + s) + 1];
-      if (fr_part && fr_part->fr) {
+  // Reduce each cell as one pool task, as attack_matrix does: merge in
+  // shard order, score once per attack, render the row (null for an
+  // attack that never completed a shard).
+  struct CellRow {
+    Json row;
+    double fr_rank = 127.5;
+    double ff_rank = 127.5;
+  };
+  std::vector<CellRow> reduced =
+      parallel_map(pool, cells.size(), [&](std::size_t c) {
+        const std::optional<attack::FlushOutcome> fr = merge_shards(
+            parts, 2 * c * n_shards, 2, n_shards, &TaskResult::fr);
+        const std::optional<attack::FlushOutcome> ff = merge_shards(
+            parts, 2 * c * n_shards + 1, 2, n_shards, &TaskResult::ff);
+        CellRow out;
+        Json fr_json;
+        Json ff_json;
         if (fr) {
-          fr->merge(*fr_part->fr);
-        } else {
-          fr.emplace(*fr_part->fr);
+          const attack::MatrixRanking rank =
+              attack::score_flush(fr->profile, l1, victim_key);
+          out.fr_rank = rank.mean_true_rank();
+          fr_json = ranking_json(rank, fr->channel);
         }
-      }
-      if (ff_part && ff_part->ff) {
         if (ff) {
-          ff->merge(*ff_part->ff);
-        } else {
-          ff.emplace(*ff_part->ff);
+          const attack::MatrixRanking rank =
+              attack::score_flush(ff->profile, l1, victim_key);
+          out.ff_rank = rank.mean_true_rank();
+          ff_json = ranking_json(rank, ff->channel);
         }
-      }
-    }
-
-    Json fr_json;  // null when the cell's attack never completed a shard
-    Json ff_json;
-    if (fr) {
-      const attack::MatrixRanking rank =
-          attack::score_flush(fr->profile, l1, victim_key);
-      fr_rank[c] = rank.mean_true_rank();
-      fr_json = ranking_json(rank, fr->channel);
-    }
-    if (ff) {
-      const attack::MatrixRanking rank =
-          attack::score_flush(ff->profile, l1, victim_key);
-      ff_rank[c] = rank.mean_true_rank();
-      ff_json = ranking_json(rank, ff->channel);
-    }
-
-    Json row = Json::object();
-    row.set("policy", core::to_string(cells[c].policy))
-        .set("partitioned", cells[c].partitioned)
-        .set("samples", fr ? fr->profile.samples() : 0)
-        .set("flush_reload", std::move(fr_json))
-        .set("flush_flush", std::move(ff_json));
-    rows.push(std::move(row));
-  }
+        out.row = Json::object();
+        out.row.set("policy", core::to_string(cells[c].policy))
+            .set("partitioned", cells[c].partitioned)
+            .set("samples", fr ? fr->profile.samples() : 0)
+            .set("flush_reload", std::move(fr_json))
+            .set("flush_flush", std::move(ff_json));
+        return out;
+      });
+  Json rows = Json::array();
+  for (CellRow& cell : reduced) rows.push(std::move(cell.row));
 
   // Headline orderings: mean true rank per policy, unpartitioned cells
   // (cells alternate unpartitioned/partitioned in policy order).
   Json fr_ordering = Json::object();
   Json ff_ordering = Json::object();
+  const auto fr_rank = &CellRow::fr_rank;
+  const auto ff_rank = &CellRow::ff_rank;
   const auto rank_of = [&](core::PlacementPolicy policy, bool partitioned,
-                           const std::vector<double>& ranks) {
+                           double CellRow::*rank) {
     for (std::size_t c = 0; c < cells.size(); ++c) {
       if (cells[c].policy == policy && cells[c].partitioned == partitioned) {
-        return ranks[c];
+        return reduced[c].*rank;
       }
     }
     return 127.5;
@@ -1374,34 +1373,26 @@ Json run_pwcet_matrix(const RunOptions& options) {
     return out;
   };
 
-  std::vector<std::optional<PwcetTask>> parts;
-  if (options.ft_session != nullptr && options.ft.enabled()) {
-    const TaskCodec<PwcetTask> codec{
-        [](const PwcetTask& t, ByteWriter& w) {
-          w.put_u8(t.pp ? 2 : 1);
-          if (t.pp) {
-            put_pp_outcome(w, *t.pp);
-          } else {
-            put_doubles(w, t.times);
-          }
-        },
-        [](ByteReader& r) {
-          PwcetTask t;
-          if (r.u8() == 2) {
-            t.pp = get_pp_outcome(r);
-          } else {
-            t.times = get_doubles(r);
-          }
-          return t;
-        }};
-    parts = ft_parallel_map<PwcetTask>(*options.ft_session, "pwcet_matrix",
-                                       pool, total_tasks, run_task, codec)
-                .results;
-  } else {
-    std::vector<PwcetTask> plain = parallel_map(pool, total_tasks, run_task);
-    parts.reserve(plain.size());
-    for (PwcetTask& part : plain) parts.emplace_back(std::move(part));
-  }
+  const TaskCodec<PwcetTask> codec{
+      [](const PwcetTask& t, ByteWriter& w) {
+        w.put_u8(t.pp ? 2 : 1);
+        if (t.pp) {
+          put_pp_outcome(w, *t.pp);
+        } else {
+          put_doubles(w, t.times);
+        }
+      },
+      [](ByteReader& r) {
+        PwcetTask t;
+        if (r.u8() == 2) {
+          t.pp = get_pp_outcome(r);
+        } else {
+          t.times = get_doubles(r);
+        }
+        return t;
+      }};
+  std::vector<std::optional<PwcetTask>> parts = matrix_tasks(
+      options, "pwcet_matrix", pool, total_tasks, run_task, codec);
 
   // Merge the timing shards in (cell, shard) order.  A shard missing under
   // --allow-partial contributes nothing; its cell just has fewer runs (and
@@ -1552,59 +1543,52 @@ Json run_pwcet_matrix(const RunOptions& options) {
     }
   }
 
-  // Tradeoff table: the leakage half merged per platform, joined with the
-  // predictability aggregates - the paper's headline claim in one table.
+  // Tradeoff table: the leakage half merged and scored per platform, one
+  // pool task each, joined with the predictability aggregates - the
+  // paper's headline claim in one table.
+  std::vector<Json> tradeoff_rows =
+      parallel_map(pool, platforms.size(), [&](std::size_t p) {
+        const std::optional<attack::PrimeProbeOutcome> pp =
+            merge_shards(parts, timing_tasks + p * pp_shards.size(), 1,
+                         pp_shards.size(), &PwcetTask::pp);
+        // Leakage columns are null for a platform whose campaign never
+        // completed a shard (--allow-partial only).
+        Json rank_json;
+        Json resolved_json;
+        Json mi_json;
+        if (pp) {
+          const attack::MatrixRanking rank = attack::score_prime_probe(
+              pp->profile, l1, layout.tables, victim_key);
+          rank_json = rank.mean_true_rank();
+          resolved_json = rank.line_resolved_bytes();
+          mi_json = pp->channel.mi_bits_corrected();
+        }
+        Json row = Json::object();
+        row.set("policy", core::to_string(platforms[p].policy))
+            .set("partitioned", platforms[p].partitioned)
+            .set("randomized", core::randomized(platforms[p].policy))
+            .set("prime_probe_mean_true_rank", std::move(rank_json))
+            .set("prime_probe_line_resolved_bytes", std::move(resolved_json))
+            .set("channel_mi_bits_corrected", std::move(mi_json))
+            .set("kernels_applicable", agg[p].applicable)
+            .set("kernels_degenerate", agg[p].degenerate)
+            .set("kernels_iid_fail", agg[p].iid_fail)
+            .set("kernels_converged", agg[p].converged)
+            .set("mean_overhead_vs_modulo",
+                 agg[p].overhead_sum / static_cast<double>(n_kernels))
+            .set("vecsum_pwcet_1e-10", agg[p].vecsum_pwcet);
+        return row;
+      });
   Json tradeoff = Json::array();
   bool modulo_never_applicable = true;
   bool randomized_ok = true;
   int randomized_applicable = 0;
   for (std::size_t p = 0; p < platforms.size(); ++p) {
-    std::optional<attack::PrimeProbeOutcome> pp;
-    for (std::size_t s = 0; s < pp_shards.size(); ++s) {
-      const std::optional<PwcetTask>& part =
-          parts[timing_tasks + p * pp_shards.size() + s];
-      if (part && part->pp) {
-        if (pp) {
-          pp->merge(*part->pp);
-        } else {
-          pp.emplace(*part->pp);
-        }
-      }
-    }
-
     const bool is_random = core::randomized(platforms[p].policy);
     if (!is_random && agg[p].applicable > 0) modulo_never_applicable = false;
     if (is_random && !agg[p].all_ok) randomized_ok = false;
     randomized_applicable += is_random ? agg[p].applicable : 0;
-
-    // Leakage columns are null for a platform whose campaign never
-    // completed a shard (--allow-partial only).
-    Json rank_json;
-    Json resolved_json;
-    Json mi_json;
-    if (pp) {
-      const attack::MatrixRanking rank = attack::score_prime_probe(
-          pp->profile, l1, layout.tables, victim_key);
-      rank_json = rank.mean_true_rank();
-      resolved_json = rank.line_resolved_bytes();
-      mi_json = pp->channel.mi_bits_corrected();
-    }
-
-    Json row = Json::object();
-    row.set("policy", core::to_string(platforms[p].policy))
-        .set("partitioned", platforms[p].partitioned)
-        .set("randomized", is_random)
-        .set("prime_probe_mean_true_rank", std::move(rank_json))
-        .set("prime_probe_line_resolved_bytes", std::move(resolved_json))
-        .set("channel_mi_bits_corrected", std::move(mi_json))
-        .set("kernels_applicable", agg[p].applicable)
-        .set("kernels_degenerate", agg[p].degenerate)
-        .set("kernels_iid_fail", agg[p].iid_fail)
-        .set("kernels_converged", agg[p].converged)
-        .set("mean_overhead_vs_modulo",
-             agg[p].overhead_sum / static_cast<double>(n_kernels))
-        .set("vecsum_pwcet_1e-10", agg[p].vecsum_pwcet);
-    tradeoff.push(std::move(row));
+    tradeoff.push(std::move(tradeoff_rows[p]));
   }
 
   // The paper's qualitative claim, quantified over the matrix:

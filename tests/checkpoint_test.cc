@@ -978,6 +978,67 @@ TEST(ResumeBitIdentityTest, AttackMatrixResumesToGoldenAfterTornTail) {
   std::remove(path.c_str());
 }
 
+/// The rows of the "cells" array in a compact JSON document, each as its
+/// own text (the matrices' strings hold no brackets, so depth counting is
+/// enough).
+std::vector<std::string> cell_rows(const std::string& json) {
+  const std::string key = "\"cells\":[";
+  const std::size_t start = json.find(key);
+  EXPECT_NE(start, std::string::npos) << json;
+  std::vector<std::string> rows;
+  if (start == std::string::npos) return rows;
+  int depth = 0;
+  std::size_t row_start = 0;
+  for (std::size_t i = start + key.size(); i < json.size(); ++i) {
+    const char ch = json[i];
+    if (ch == '{' || ch == '[') {
+      if (depth++ == 0) row_start = i;
+    } else if (ch == '}' || ch == ']') {
+      if (depth == 0) break;  // the array's own closing bracket
+      if (--depth == 0) rows.push_back(json.substr(row_start, i + 1 - row_start));
+    }
+  }
+  return rows;
+}
+
+// The null-cell path of the per-cell reduce: a cell whose first attack
+// never completed a shard reports that attack as null with 0 samples, and
+// the parallel reduce leaves every other row as the fault-free run has it.
+// Task 0 is cell 0's first attack; with one shard per cell it is that
+// attack's only shard.
+TEST(PartialMatrixTest, ExhaustedFirstShardNullsOnlyThatAttackOfCellZero) {
+  struct Case {
+    std::string experiment;
+    std::string first_attack;
+    std::string second_attack;
+  };
+  for (const Case& c : {Case{"attack_matrix", "prime_probe", "evict_time"},
+                        Case{"flush_matrix", "flush_reload", "flush_flush"}}) {
+    clear_interrupt();
+    const std::vector<std::string> clean = cell_rows(
+        run_ft_json(c.experiment, 100, 100, /*workers=*/4, FtOptions{}));
+    FtOptions faulty;
+    faulty.allow_partial = true;
+    faulty.max_attempts = 2;
+    faulty.fault = {0, FaultKind::kThrow, 10};  // outlives the budget
+    const std::vector<std::string> partial = cell_rows(
+        run_ft_json(c.experiment, 100, 100, /*workers=*/3, faulty));
+    ASSERT_EQ(partial.size(), 14u) << c.experiment;
+    ASSERT_EQ(clean.size(), partial.size()) << c.experiment;
+
+    const std::string second_key = "\"" + c.second_attack + "\":";
+    const std::size_t second_at = clean[0].find(second_key);
+    ASSERT_NE(second_at, std::string::npos) << clean[0];
+    EXPECT_EQ(partial[0],
+              "{\"policy\":\"modulo\",\"partitioned\":false,\"samples\":0,\"" +
+                  c.first_attack + "\":null," + clean[0].substr(second_at))
+        << c.experiment;
+    for (std::size_t row = 1; row < clean.size(); ++row) {
+      EXPECT_EQ(partial[row], clean[row]) << c.experiment << " cell " << row;
+    }
+  }
+}
+
 // Self-referential sweep at smoke scale: for a spread of interruption
 // points the resumed run must match the uninterrupted run bit for bit (the
 // fixture-based tests above pin absolute values; this one covers many k

@@ -242,6 +242,19 @@ TEST(CliContractTest, MalformedFlagsExitTwoWithUsage) {
                      "--backoff-cap-ms");
   expect_usage_error("--experiment fig5 --frobnicate", "--frobnicate");
   expect_usage_error("--experiment fig5 --samples", "--samples");
+  // Counts above their cap (256 workers; INT_MAX for the int fields) are
+  // refused while parsing, not wrapped (4294967300 once ran as --shards
+  // 4), so none of these starts a worker.
+  expect_usage_error("--experiment fig2 --fast --shards 257",
+                     "--shards must be at most 256");
+  expect_usage_error("--experiment fig2 --fast --shards 4294967300",
+                     "--shards must be at most 256");
+  expect_usage_error("--experiment fig5 --fast --max-attempts 4294967297",
+                     "--max-attempts must be at most 2147483647");
+  expect_usage_error("--experiment fig5 --fast --worker-id 2147483648",
+                     "--worker-id must be at most 2147483647");
+  EXPECT_NE(run_tsc("--help").out.find("worker threads, at most 256"),
+            std::string::npos);
 }
 
 TEST(CliContractTest, ZeroShardSizeIsRejectedBeforeAnyExperimentRuns) {
